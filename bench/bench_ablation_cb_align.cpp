@@ -13,9 +13,9 @@
 // This bench runs the same ENZO checkpoint dump twice — cb_align = 1
 // (unaligned 2002 baseline) vs cb_align = auto (layout-aware) — and
 // compares StripedFs::total_server_requests(), write-token transfers, and
-// the dump checksum, with a check::IoChecker attached.  It exits non-zero
-// when the aligned run fails to reduce both counters, when the checksums
-// diverge, or when the checker reports any error or warning.
+// the dump checksum, auditing each dump's trace with check::analyze_trace.
+// It exits non-zero when the aligned run fails to reduce both counters, when
+// the checksums diverge, or when the audit reports any error or warning.
 //
 //   $ ./bench/bench_ablation_cb_align          # AMR64, 16 procs
 //   $ ./bench/bench_ablation_cb_align --tiny   # 16^3, 8 procs (CI smoke)
@@ -78,8 +78,8 @@ Outcome run_dump(bool tiny, std::uint64_t cb_align) {
                      : std::to_string(cb_align));
   copts.stripe_size = machine.striped_fs.stripe_size;
   copts.padding_alignment = 4096;
-  check::IoChecker checker(copts);
-  tb.fs().attach_observer(&checker);
+  trace::IoTracer tracer;
+  tb.fs().attach_observer(&tracer);
 
   mpi::io::Hints hints;
   hints.cb_align = cb_align;
@@ -99,7 +99,7 @@ Outcome run_dump(bool tiny, std::uint64_t cb_align) {
     sim.initialize_from_universe();
     sim.evolve_cycle();
 
-    if (comm.rank() == 0) checker.begin_phase("dump");
+    if (comm.rank() == 0) tracer.begin_phase("dump");
     comm.barrier();
     double t0 = comm.proc().now();
     backend.write_dump(comm, sim.state(), "dump");
@@ -110,7 +110,8 @@ Outcome run_dump(bool tiny, std::uint64_t cb_align) {
   out.server_requests = gpfs->total_server_requests();
   out.token_transfers = gpfs->write_token_transfers();
   out.checksum = store_checksum(tb.fs().store());
-  check::CheckReport report = checker.analyze(&tb.fs().store());
+  check::CheckReport report =
+      check::analyze_trace(tracer, copts, &tb.fs().store());
   out.checker_errors = report.errors();
   out.checker_warnings = report.warnings();
   out.report = report.format();

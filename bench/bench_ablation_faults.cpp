@@ -104,7 +104,7 @@ Outcome run_dump(bool tiny, const std::string& mode, bool inject, bool retry,
   tb.fs().set_retry(fs_retry);
 
   obs::Collector col;
-  obs::attach(&col);
+  obs::Attach collector_scope(&col);
 
   Outcome out;
   try {
@@ -132,7 +132,6 @@ Outcome run_dump(bool tiny, const std::string& mode, bool inject, bool retry,
     out.survived = false;
     out.error = e.what();
   }
-  obs::detach();
 
   obs::MetricsRegistry& reg = col.registry();
   tb.fs().export_counters(reg);

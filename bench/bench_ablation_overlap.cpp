@@ -6,7 +6,7 @@
 // overlap off (the synchronous 2002 baseline) and overlap on — through the
 // MPI-IO backend.  Overlap must strictly reduce the dump write time on every
 // platform, the dump image must be byte-identical (overlap reorders *time*,
-// never *content*), the check::IoChecker audit must stay clean, and the
+// never *content*), the check::analyze_trace audit must stay clean, and the
 // overlap-on profile must actually contain concurrent comm and async-io
 // spans on aggregator ranks — the mechanism, not just the effect.
 //
@@ -104,8 +104,8 @@ Outcome run_dump(const platform::Machine& machine, bool tiny, bool overlap,
     copts.stripe_size = machine.striped_fs.stripe_size;
   }
   copts.padding_alignment = 4096;
-  check::IoChecker checker(copts);
-  tb.fs().attach_observer(&checker);
+  trace::IoTracer tracer;
+  tb.fs().attach_observer(&tracer);
 
   mpi::io::Hints hints;
   hints.overlap = overlap;
@@ -122,14 +122,14 @@ Outcome run_dump(const platform::Machine& machine, bool tiny, bool overlap,
   }
 
   Outcome out;
-  if (col) obs::attach(col);
+  obs::Attach collector_scope(col);
   tb.runtime().run([&](mpi::Comm& comm) {
     enzo::MpiIoBackend backend(tb.fs(), hints);
     enzo::EnzoSimulation sim(comm, config);
     sim.initialize_from_universe();
     sim.evolve_cycle();
 
-    if (comm.rank() == 0) checker.begin_phase("dump");
+    if (comm.rank() == 0) tracer.begin_phase("dump");
     comm.barrier();
     double t0 = comm.proc().now();
     std::uint64_t w0 = comm.proc().stats().io_bytes_written;
@@ -140,7 +140,7 @@ Outcome run_dump(const platform::Machine& machine, bool tiny, bool overlap,
         comm.proc().stats().io_bytes_written - w0);
 
     if (comm.rank() == 0) {
-      checker.begin_phase("restart");
+      tracer.begin_phase("restart");
       tb.fs().drop_caches();
     }
     enzo::EnzoSimulation fresh(comm, config);
@@ -169,10 +169,10 @@ Outcome run_dump(const platform::Machine& machine, bool tiny, bool overlap,
       out.prefetch_hits += reg.get(scope, "prefetch_hits");
     }
     out.concurrent_ranks = concurrent_comm_io_ranks(*col);
-    obs::detach();
   }
   out.checksum = store_checksum(tb.fs().store());
-  check::CheckReport report = checker.analyze(&tb.fs().store());
+  check::CheckReport report =
+      check::analyze_trace(tracer, copts, &tb.fs().store());
   out.checker_errors = report.errors();
   out.checker_warnings = report.warnings();
   out.report = report.format();

@@ -92,7 +92,7 @@ SessionResult run_session(const platform::Machine& machine, int readers,
 
   obs::Collector collector;
   collector.set_detail(true);  // latency histograms for the schema gate
-  obs::attach(&collector);
+  obs::Attach collector_scope(&collector);
 
   SessionResult res;
   tb.runtime().run([&](mpi::Comm& c) {
@@ -137,7 +137,6 @@ SessionResult run_session(const platform::Machine& machine, int readers,
       res.grids = ix.meta.hierarchy.grid_count();
     }
   });
-  obs::detach();
 
   res.payload = svc.payload_bytes();
   res.fetched = svc.fetched_bytes();

@@ -243,9 +243,10 @@ int main(int argc, char** argv) {
       jobs.push_back(
           make_job("tr", ranks_per_job, t.fs, chunks, /*write=*/false));
       jobs[0].params.perturb_seed = seed;
-      obs::attach(&col);
-      mpi::MultiRuntime::run(std::move(jobs));
-      obs::detach();
+      {
+        obs::Attach collector_scope(&col);
+        mpi::MultiRuntime::run(std::move(jobs));
+      }
       const std::string fp = col.timeline().integer_fingerprint();
       PARAMRIO_REQUIRE(!fp.empty(),
                        "bench_scale --trace: no integer gauge tracks");

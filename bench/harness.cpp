@@ -110,8 +110,10 @@ IoResult run_enzo_io(const RunSpec& spec) {
     tb.runtime().network().attach_fault_hook(spec.injector);
   }
   tb.fs().set_retry(spec.fs_retry);
-  if (spec.collector) obs::attach(spec.collector);
-  if (spec.verifier) verify::attach(spec.verifier);
+  // The fs and network hooks die with the Testbed; the process-wide
+  // instruments are detached by these guards even when the run throws.
+  obs::Attach collector_scope(spec.collector);
+  verify::Attach verifier_scope(spec.verifier);
 
   sim::Engine::Result engine_result = tb.runtime().run([&](mpi::Comm& c) {
     auto backend = make_backend(spec, tb.fs());
@@ -165,21 +167,12 @@ IoResult run_enzo_io(const RunSpec& spec) {
     }
   });
 
-  if (spec.verifier) {
-    if (spec.collector) {
+  if (spec.collector) {
+    if (spec.verifier) {
       spec.verifier->report().export_to(spec.collector->registry());
     }
-    verify::detach();
-  }
-  if (spec.collector) {
     absorb_run_stats(*spec.collector, engine_result, tb, spec.tracer,
                      spec.injector);
-    obs::detach();
-  }
-  if (spec.tracer) tb.fs().attach_observer(nullptr);
-  if (spec.injector) {
-    tb.fs().attach_fault_hook(nullptr);
-    tb.runtime().network().attach_fault_hook(nullptr);
   }
   return result;
 }

@@ -2,10 +2,11 @@
 //
 // The paper's analysis (Section 3) explains *slow* checkpoints; this tool
 // asks the prior question — is the checkpoint even *right*?  It runs a
-// dump + restart cycle for each of the four backends with a check::IoChecker
-// attached to the file system and prints one audit per backend: write-write
-// conflicts, holes, read-before-write, descriptor-lifecycle bugs, and (on a
-// striped file system) the Figure-7 alignment lints with per-backend counts.
+// dump + restart cycle for each of the four backends with a trace::IoTracer
+// attached to the file system, audits the trace with check::analyze_trace
+// and prints one audit per backend: write-write conflicts, holes,
+// read-before-write, descriptor-lifecycle bugs, and (on a striped file
+// system) the Figure-7 alignment lints with per-backend counts.
 //
 //   $ ./examples/dump_audit
 #include <cstdio>
@@ -54,8 +55,8 @@ check::CheckReport audit_backend(int which, int nprocs) {
   opts.stripe_size = sp.stripe_size;
   // pnetcdf aligns its data region; the header/data padding is deliberate.
   opts.padding_alignment = 4096;
-  check::IoChecker checker(opts);
-  fs.attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
 
   mpi::RuntimeParams rp;
   rp.nprocs = nprocs;
@@ -71,16 +72,16 @@ check::CheckReport audit_backend(int which, int nprocs) {
     sim.initialize_from_universe();
     sim.evolve_cycle();
 
-    if (comm.rank() == 0) checker.begin_phase("dump");
+    if (comm.rank() == 0) tracer.begin_phase("dump");
     comm.barrier();
     backend->write_dump(comm, sim.state(), "audit");
 
-    if (comm.rank() == 0) checker.begin_phase("restart");
+    if (comm.rank() == 0) tracer.begin_phase("restart");
     comm.barrier();
     enzo::EnzoSimulation restart(comm, config);
     backend->read_restart(comm, restart.state(), "audit");
   });
-  return checker.analyze(&fs.store());
+  return check::analyze_trace(tracer, opts, &fs.store());
 }
 
 }  // namespace

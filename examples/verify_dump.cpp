@@ -56,7 +56,7 @@ int plant_defect() {
   std::printf("planting a defect: iwrite_at with no wait before close\n\n");
   verify::Verifier verifier;
   {
-    verify::Attach attach(verifier);
+    verify::Attach attach(&verifier);
     platform::Testbed tb(platform::origin2000_xfs(), 2);
     tb.runtime().run([&](mpi::Comm& c) {
       mpi::io::Hints hints;

@@ -195,7 +195,7 @@ class Analyzer {
   }
 
   CheckReport run(std::span<const trace::IoEvent> events,
-                  std::span<const PhaseMark> phases) {
+                  std::span<const trace::PhaseMark> phases) {
     std::size_t next_phase = 0;
     for (std::size_t i = 0; i < events.size(); ++i) {
       while (next_phase < phases.size() &&
@@ -454,61 +454,14 @@ class Analyzer {
 CheckReport analyze_trace(std::span<const trace::IoEvent> events,
                           const CheckOptions& options,
                           const stor::ObjectStore* store,
-                          std::span<const PhaseMark> phases) {
+                          std::span<const trace::PhaseMark> phases) {
   return Analyzer(options, store).run(events, phases);
 }
 
-IoChecker::IoChecker(CheckOptions options) : options_(std::move(options)) {}
-
-void IoChecker::begin_phase(const std::string& name) {
-  phases_.push_back(PhaseMark{events_.size(), name});
-}
-
-void IoChecker::on_io(double time, int rank, bool is_write,
-                      const std::string& path, std::uint64_t offset,
-                      std::uint64_t bytes, int fd) {
-  trace::IoEvent e;
-  e.time = time;
-  e.rank = rank;
-  e.is_write = is_write;
-  e.op = is_write ? trace::IoOp::kWrite : trace::IoOp::kRead;
-  e.path = path;
-  e.offset = offset;
-  e.bytes = bytes;
-  e.fd = fd;
-  events_.push_back(std::move(e));
-}
-
-void IoChecker::on_open(double time, int rank, const std::string& path,
-                        pfs::OpenMode mode, int fd) {
-  trace::IoEvent e;
-  e.time = time;
-  e.rank = rank;
-  e.op = trace::IoOp::kOpen;
-  e.path = path;
-  e.fd = fd;
-  e.mode = mode;
-  events_.push_back(std::move(e));
-}
-
-void IoChecker::on_close(double time, int rank, const std::string& path,
-                         int fd) {
-  trace::IoEvent e;
-  e.time = time;
-  e.rank = rank;
-  e.op = trace::IoOp::kClose;
-  e.path = path;
-  e.fd = fd;
-  events_.push_back(std::move(e));
-}
-
-CheckReport IoChecker::analyze(const stor::ObjectStore* store) const {
-  return analyze_trace(events_, options_, store, phases_);
-}
-
-void IoChecker::clear() {
-  events_.clear();
-  phases_.clear();
+CheckReport analyze_trace(const trace::IoTracer& tracer,
+                          const CheckOptions& options,
+                          const stor::ObjectStore* store) {
+  return analyze_trace(tracer.events(), options, store, tracer.phases());
 }
 
 }  // namespace paramrio::check

@@ -2,12 +2,13 @@
 //
 // The paper's method (Section 3) is instrument-then-analyze: collect
 // per-request traces and mine them for the pathologies behind Figures 6-9.
-// trace::IoTracer answers the *performance* questions (request sizes,
-// sequentiality); this module answers the *correctness* ones: did the dump
-// the backend just wrote actually land intact?  It consumes a trace::IoEvent
-// stream (data requests plus the descriptor-lifecycle events a widened
-// pfs::IoObserver now reports) and, optionally, the final stor::ObjectStore
-// contents, and emits typed diagnostics:
+// trace::IoTracer records the trace and answers the *performance* questions
+// (request sizes, sequentiality); this module mines the same trace for the
+// *correctness* ones: did the dump the backend just wrote actually land
+// intact?  It consumes a trace::IoEvent stream (data requests plus the
+// descriptor-lifecycle events pfs::IoObserver reports), its phase marks and,
+// optionally, the final stor::ObjectStore contents, and emits typed
+// diagnostics:
 //
 //   * write-write conflicts — byte ranges written by two different ranks in
 //     the same dump phase (MPI-IO consistency semantics make this an error
@@ -32,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "pfs/filesystem.hpp"
 #include "stor/object_store.hpp"
 #include "trace/io_tracer.hpp"
 
@@ -109,54 +109,22 @@ struct CheckReport {
   std::string format() const;
 };
 
-/// A named phase boundary: events at index >= first_event belong to `name`
-/// until the next mark.  Write-conflict detection is scoped per phase (two
-/// dumps to the same path must not accuse each other).
-struct PhaseMark {
-  std::size_t first_event = 0;
-  std::string name;
-};
-
 /// Analyze a raw event stream.  `store`, when given, supplies final file
 /// extents so hole detection covers short (truncated) files; without it the
 /// extent is the furthest traced write.  Only files the trace saw created
 /// (open with OpenMode::kCreate) are checked for holes and read-before-write
-/// — pre-existing files have unknown prior contents.
+/// — pre-existing files have unknown prior contents.  Write-conflict
+/// detection is scoped per phase.
 CheckReport analyze_trace(std::span<const trace::IoEvent> events,
                           const CheckOptions& options,
                           const stor::ObjectStore* store = nullptr,
-                          std::span<const PhaseMark> phases = {});
+                          std::span<const trace::PhaseMark> phases = {});
 
-/// Observer that accumulates a trace (data + lifecycle events) with phase
-/// marks and runs the analyzer over it.  Attach with
-/// fs.attach_observer(&checker); call begin_phase() around dump / restart
-/// sections; then analyze(&fs.store()).
-class IoChecker final : public pfs::IoObserver {
- public:
-  explicit IoChecker(CheckOptions options = {});
-
-  /// Start a named phase; subsequent events belong to it.
-  void begin_phase(const std::string& name);
-
-  void on_io(double time, int rank, bool is_write, const std::string& path,
-             std::uint64_t offset, std::uint64_t bytes, int fd) override;
-  void on_open(double time, int rank, const std::string& path,
-               pfs::OpenMode mode, int fd) override;
-  void on_close(double time, int rank, const std::string& path,
-                int fd) override;
-
-  const std::vector<trace::IoEvent>& events() const { return events_; }
-  const std::vector<PhaseMark>& phases() const { return phases_; }
-  CheckOptions& options() { return options_; }
-
-  CheckReport analyze(const stor::ObjectStore* store = nullptr) const;
-
-  void clear();
-
- private:
-  CheckOptions options_;
-  std::vector<trace::IoEvent> events_;
-  std::vector<PhaseMark> phases_;
-};
+/// Analyze everything `tracer` recorded, phase marks included.  The usual
+/// audit: fs.attach_observer(&tracer); tracer.begin_phase() around dump /
+/// restart sections; then analyze_trace(tracer, options, &fs.store()).
+CheckReport analyze_trace(const trace::IoTracer& tracer,
+                          const CheckOptions& options,
+                          const stor::ObjectStore* store = nullptr);
 
 }  // namespace paramrio::check

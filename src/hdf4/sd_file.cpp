@@ -91,16 +91,31 @@ void SdFile::scan() {
       info.name = r.str();
       info.type = static_cast<NumberType>(r.u8());
       std::uint32_t ndims = r.u32();
+      // Each dim is a u64 inside the record header: a count the header
+      // cannot hold is corrupt, and must not size an allocation.
+      if (ndims > r.remaining() / 8) {
+        throw FormatError(path_ + ": dataset " + info.name + " claims " +
+                          std::to_string(ndims) + " dims in a " +
+                          std::to_string(hdrlen) + "-byte record header");
+      }
       info.dims.reserve(ndims);
       for (std::uint32_t d = 0; d < ndims; ++d) info.dims.push_back(r.u64());
       info.data_bytes = r.u64();
       info.data_offset = pos + 8 + hdrlen;
+      if (info.data_bytes > size - info.data_offset) {
+        throw FormatError(path_ + ": dataset " + info.name +
+                          " data runs past end of file");
+      }
       index_[info.name] = datasets_.size();
       datasets_.push_back(info);
       pos = info.data_offset + info.data_bytes;
     } else if (kind == kKindAttribute) {
       std::string name = r.str();
       std::uint64_t nbytes = r.u64();
+      if (nbytes > size - (pos + 8 + hdrlen)) {
+        throw FormatError(path_ + ": attribute " + name +
+                          " value runs past end of file");
+      }
       auto value = read_exact(*fs_, fd_, pos + 8 + hdrlen, nbytes);
       attributes_[name] = std::move(value);
       pos += 8 + hdrlen + nbytes;

@@ -194,6 +194,24 @@ void attach(Collector* c);
 void detach();
 Collector* collector();
 
+/// RAII attach/detach of the process-wide collector, so a run that throws
+/// leaves none attached.  nullptr is a no-op (an optional collector needs
+/// no branch at the call site).
+class Attach {
+ public:
+  explicit Attach(Collector* c) : c_(c) {
+    if (c_ != nullptr) attach(c_);
+  }
+  ~Attach() {
+    if (c_ != nullptr) detach();
+  }
+  Attach(const Attach&) = delete;
+  Attach& operator=(const Attach&) = delete;
+
+ private:
+  Collector* c_;
+};
+
 /// RAII span: records into the attached collector while the calling thread
 /// is a simulated proc; otherwise free of side effects.
 class Span {

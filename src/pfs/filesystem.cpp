@@ -8,6 +8,15 @@
 
 namespace paramrio::pfs {
 
+void FileSystem::attach_observer(IoObserver* observer) {
+  if (observer != nullptr && observer_ != nullptr && observer != observer_) {
+    throw LogicError("attach_observer on " + name() +
+                     ": another observer is already attached; detach it "
+                     "with attach_observer(nullptr) first");
+  }
+  observer_ = observer;
+}
+
 int FileSystem::open(const std::string& path, OpenMode mode) {
   if (mode == OpenMode::kCreate) {
     const bool truncating = store_.exists(path);

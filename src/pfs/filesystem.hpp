@@ -46,10 +46,11 @@ struct Layout {
 };
 
 /// Observer hook for I/O tracing: receives every data request a FileSystem
-/// serves plus descriptor-lifecycle events (see trace::IoTracer for the
-/// standard implementation and check::IoChecker for the correctness
-/// analyzer).  Like all timing, observation only happens inside the
-/// simulation; untimed setup accesses are invisible.
+/// serves plus descriptor-lifecycle events (trace::IoTracer is the
+/// implementation; check::analyze_trace mines its trace for correctness).
+/// The hook keeps pfs free of a dependency on trace.  Like all timing,
+/// observation only happens inside the simulation; untimed setup accesses
+/// are invisible.
 class IoObserver {
  public:
   virtual ~IoObserver() = default;
@@ -136,9 +137,11 @@ class FileSystem {
     ++cache_gen_;
   }
 
-  /// Attach (or detach with nullptr) an I/O observer; every subsequent data
-  /// request inside the simulation is reported to it.
-  void attach_observer(IoObserver* observer) { observer_ = observer; }
+  /// Attach (or detach with nullptr) the I/O observer; every subsequent data
+  /// request inside the simulation is reported to it.  There is one slot:
+  /// attaching a second, distinct observer throws LogicError instead of
+  /// silently detaching the first.
+  void attach_observer(IoObserver* observer);
 
   /// Attach (or detach with nullptr) a fault-injection hook, consulted for
   /// every in-simulation data request *before* any bytes move.  The data

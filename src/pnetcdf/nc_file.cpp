@@ -56,8 +56,11 @@ NcFile NcFile::open(mpi::Comm& comm, pfs::FileSystem& fs,
     f.file_->set_view(0);
     f.file_->read_at(0, fixed);
     ByteReader r(fixed);
-    if (r.u32() != kMagic) throw FormatError(path + ": not a PNC file");
-    std::uint32_t header_bytes = r.u32();
+    const std::uint32_t magic = r.u32();
+    const std::uint32_t header_bytes = r.u32();
+    if (magic != kMagic || 8 + std::uint64_t{header_bytes} > f.file_->size()) {
+      throw FormatError(path + ": not a PNC file");
+    }
     header.resize(header_bytes);
     f.file_->read_at(8, header);
   }
@@ -148,13 +151,41 @@ NcHeader parse_nc_header(std::span<const std::byte> data) {
   for (std::uint64_t i = 0; i < nv; ++i) {
     Var v;
     v.name = r.str();
-    v.type = static_cast<NcType>(r.u8());
+    std::uint8_t type = r.u8();
+    if (type > static_cast<std::uint8_t>(NcType::kInt64)) {
+      throw FormatError("PNC header: var " + v.name + " has unknown type " +
+                        std::to_string(type));
+    }
+    v.type = static_cast<NcType>(type);
     std::uint32_t ndim = r.u32();
+    // Overflow-checked element count: dims_[dim_ids[d]] is indexed on every
+    // access, so each id must name a parsed dimension.
+    std::uint64_t count = 1;
+    bool overflow = false;
     for (std::uint32_t d = 0; d < ndim; ++d) {
-      v.dim_ids.push_back(static_cast<int>(r.u32()));
+      std::uint32_t id = r.u32();
+      if (id >= h.dims.size()) {
+        throw FormatError("PNC header: var " + v.name + " uses dimension " +
+                          std::to_string(id) + " of " +
+                          std::to_string(h.dims.size()));
+      }
+      v.dim_ids.push_back(static_cast<int>(id));
+      overflow |= __builtin_mul_overflow(count, h.dims[id].length, &count);
     }
     v.offset = r.u64();
     v.bytes = r.u64();
+    std::uint64_t expect = 0;
+    std::uint64_t end = 0;
+    if (overflow ||
+        __builtin_mul_overflow(count, type_size(v.type), &expect) ||
+        expect != v.bytes) {
+      throw FormatError("PNC header: var " + v.name +
+                        " size does not match its dimensions");
+    }
+    if (__builtin_add_overflow(v.offset, v.bytes, &end)) {
+      throw FormatError("PNC header: var " + v.name +
+                        " data range overflows");
+    }
     h.var_index[v.name] = static_cast<int>(h.vars.size());
     h.vars.push_back(std::move(v));
   }
@@ -173,11 +204,12 @@ NcHeader read_nc_header(pfs::FileSystem& fs, const std::string& path) {
   std::vector<std::byte> fixed(8);
   fs.read_at(fd, 0, fixed);
   ByteReader r(fixed);
-  if (r.u32() != kMagic) {
+  const std::uint32_t magic = r.u32();
+  const std::uint32_t header_bytes = r.u32();
+  if (magic != kMagic || 8 + std::uint64_t{header_bytes} > fs.size(fd)) {
     fs.close(fd);
     throw FormatError(path + ": not a PNC file");
   }
-  std::uint32_t header_bytes = r.u32();
   std::vector<std::byte> blob(header_bytes);
   fs.read_at(fd, 8, blob);
   fs.close(fd);
@@ -218,62 +250,53 @@ void NcFile::enddef() {
   define_mode_ = false;
 }
 
-mpi::Datatype NcFile::subarray_type(const Var& v,
-                                    const std::vector<std::uint64_t>& start,
-                                    const std::vector<std::uint64_t>& count,
-                                    std::uint64_t* bytes_out) const {
+std::vector<std::uint64_t> NcFile::shape(const Var& v) const {
+  std::vector<std::uint64_t> lengths;
+  for (int d : v.dim_ids) {
+    lengths.push_back(dims_[static_cast<std::size_t>(d)].length);
+  }
+  return lengths;
+}
+
+void NcFile::set_vara_view(const char* op, int varid,
+                           const std::vector<std::uint64_t>& start,
+                           const std::vector<std::uint64_t>& count,
+                           std::size_t buf_bytes) {
+  require_define(false);
+  const Var& v = var(varid);
   PARAMRIO_REQUIRE(start.size() == v.dim_ids.size() &&
                        count.size() == v.dim_ids.size(),
                    "vara: rank mismatch for " + v.name);
-  std::vector<std::uint64_t> sizes;
-  sizes.reserve(v.dim_ids.size());
   std::uint64_t n = 1;
-  for (std::size_t d = 0; d < v.dim_ids.size(); ++d) {
-    sizes.push_back(dims_[static_cast<std::size_t>(v.dim_ids[d])].length);
-    n *= count[d];
-  }
-  *bytes_out = n * type_size(v.type);
-  if (n == 0) {
-    // Zero-size participation (netCDF allows zero counts): the caller still
-    // joins the collective; any placeholder type works since nothing moves.
-    return mpi::Datatype::contiguous(1);
-  }
-  return mpi::Datatype::subarray(sizes, count, start, type_size(v.type));
+  for (std::uint64_t c : count) n *= c;
+  PARAMRIO_REQUIRE(buf_bytes == n * type_size(v.type),
+                   std::string(op) + ": buffer size mismatch");
+  // Zero-size participation (netCDF allows zero counts): the caller still
+  // joins the collective; any placeholder type works since nothing moves.
+  file_->set_view(v.offset, n == 0 ? mpi::Datatype::contiguous(1)
+                                   : mpi::Datatype::subarray(
+                                         shape(v), count, start,
+                                         type_size(v.type)));
 }
 
 void NcFile::put_vara_all(int varid, const std::vector<std::uint64_t>& start,
                           const std::vector<std::uint64_t>& count,
                           std::span<const std::byte> buf) {
-  require_define(false);
-  const Var& v = var(varid);
-  std::uint64_t bytes = 0;
-  auto type = subarray_type(v, start, count, &bytes);
-  PARAMRIO_REQUIRE(buf.size() == bytes, "put_vara_all: buffer size mismatch");
-  file_->set_view(v.offset, std::move(type));
+  set_vara_view("put_vara_all", varid, start, count, buf.size());
   file_->write_at_all(0, buf);
 }
 
 void NcFile::get_vara_all(int varid, const std::vector<std::uint64_t>& start,
                           const std::vector<std::uint64_t>& count,
                           std::span<std::byte> buf) {
-  require_define(false);
-  const Var& v = var(varid);
-  std::uint64_t bytes = 0;
-  auto type = subarray_type(v, start, count, &bytes);
-  PARAMRIO_REQUIRE(buf.size() == bytes, "get_vara_all: buffer size mismatch");
-  file_->set_view(v.offset, std::move(type));
+  set_vara_view("get_vara_all", varid, start, count, buf.size());
   file_->read_at_all(0, buf);
 }
 
 void NcFile::put_vara(int varid, const std::vector<std::uint64_t>& start,
                       const std::vector<std::uint64_t>& count,
                       std::span<const std::byte> buf) {
-  require_define(false);
-  const Var& v = var(varid);
-  std::uint64_t bytes = 0;
-  auto type = subarray_type(v, start, count, &bytes);
-  PARAMRIO_REQUIRE(buf.size() == bytes, "put_vara: buffer size mismatch");
-  file_->set_view(v.offset, std::move(type));
+  set_vara_view("put_vara", varid, start, count, buf.size());
   file_->write_at(0, buf);
 }
 
@@ -281,12 +304,7 @@ mpi::io::Request NcFile::iput_vara(int varid,
                                    const std::vector<std::uint64_t>& start,
                                    const std::vector<std::uint64_t>& count,
                                    std::span<const std::byte> buf) {
-  require_define(false);
-  const Var& v = var(varid);
-  std::uint64_t bytes = 0;
-  auto type = subarray_type(v, start, count, &bytes);
-  PARAMRIO_REQUIRE(buf.size() == bytes, "iput_vara: buffer size mismatch");
-  file_->set_view(v.offset, std::move(type));
+  set_vara_view("iput_vara", varid, start, count, buf.size());
   return file_->iwrite_at(0, buf);
 }
 
@@ -297,33 +315,20 @@ void NcFile::wait_all(std::span<mpi::io::Request> reqs) {
 void NcFile::get_vara(int varid, const std::vector<std::uint64_t>& start,
                       const std::vector<std::uint64_t>& count,
                       std::span<std::byte> buf) {
-  require_define(false);
-  const Var& v = var(varid);
-  std::uint64_t bytes = 0;
-  auto type = subarray_type(v, start, count, &bytes);
-  PARAMRIO_REQUIRE(buf.size() == bytes, "get_vara: buffer size mismatch");
-  file_->set_view(v.offset, std::move(type));
+  set_vara_view("get_vara", varid, start, count, buf.size());
   file_->read_at(0, buf);
 }
 
 void NcFile::put_var_all(int varid, std::span<const std::byte> buf) {
-  const Var& v = var(varid);
-  std::vector<std::uint64_t> start(v.dim_ids.size(), 0);
-  std::vector<std::uint64_t> count;
-  for (int d : v.dim_ids) {
-    count.push_back(dims_[static_cast<std::size_t>(d)].length);
-  }
-  put_vara_all(varid, start, count, buf);
+  const std::vector<std::uint64_t> count = shape(var(varid));
+  put_vara_all(varid, std::vector<std::uint64_t>(count.size(), 0), count,
+               buf);
 }
 
 void NcFile::get_var_all(int varid, std::span<std::byte> buf) {
-  const Var& v = var(varid);
-  std::vector<std::uint64_t> start(v.dim_ids.size(), 0);
-  std::vector<std::uint64_t> count;
-  for (int d : v.dim_ids) {
-    count.push_back(dims_[static_cast<std::size_t>(d)].length);
-  }
-  get_vara_all(varid, start, count, buf);
+  const std::vector<std::uint64_t> count = shape(var(varid));
+  get_vara_all(varid, std::vector<std::uint64_t>(count.size(), 0), count,
+               buf);
 }
 
 std::vector<std::byte> NcFile::get_att(const std::string& name) const {

@@ -83,7 +83,9 @@ struct NcHeader {
 };
 
 /// Parse a serialized header blob (the bytes after the 8-byte fixed
-/// preamble).
+/// preamble).  Throws FormatError on a header that could not have been
+/// written: unknown types, dimension ids out of range, a var size that does
+/// not match its dims, a data range that overflows.
 NcHeader parse_nc_header(std::span<const std::byte> data);
 
 /// Serial header read of an existing PNC file: one proc, timed through the
@@ -166,10 +168,14 @@ class NcFile {
  private:
   NcFile() = default;
   void require_define(bool expected) const;
-  mpi::Datatype subarray_type(const Var& v,
-                              const std::vector<std::uint64_t>& start,
-                              const std::vector<std::uint64_t>& count,
-                              std::uint64_t* bytes_out) const;
+  /// Dimension lengths of `v`, slowest first.
+  std::vector<std::uint64_t> shape(const Var& v) const;
+  /// Data-mode entry check plus view install for a start/count subarray of
+  /// `varid`; `op` names the caller in the buffer-size diagnostic.
+  void set_vara_view(const char* op, int varid,
+                     const std::vector<std::uint64_t>& start,
+                     const std::vector<std::uint64_t>& count,
+                     std::size_t buf_bytes);
   std::vector<std::byte> serialize_header() const;
   void parse_header(std::span<const std::byte> data);
 

@@ -5,6 +5,7 @@
 // the business of the file systems; the store itself is free.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <span>

@@ -11,42 +11,31 @@ namespace paramrio::trace {
 void IoTracer::record(double time, int rank, bool is_write,
                       const std::string& path, std::uint64_t offset,
                       std::uint64_t bytes, int fd) {
-  IoEvent e;
-  e.time = time;
-  e.rank = rank;
-  e.is_write = is_write;
-  e.op = is_write ? IoOp::kWrite : IoOp::kRead;
-  e.path = path;
-  e.offset = offset;
-  e.bytes = bytes;
-  e.fd = fd;
-  events_.push_back(std::move(e));
+  events_.push_back({.time = time, .rank = rank, .is_write = is_write,
+                     .op = is_write ? IoOp::kWrite : IoOp::kRead, .path = path,
+                     .offset = offset, .bytes = bytes, .fd = fd});
 }
 
 void IoTracer::record_open(double time, int rank, const std::string& path,
                            pfs::OpenMode mode, int fd) {
-  IoEvent e;
-  e.time = time;
-  e.rank = rank;
-  e.op = IoOp::kOpen;
-  e.path = path;
-  e.fd = fd;
-  e.mode = mode;
-  events_.push_back(std::move(e));
+  events_.push_back({.time = time, .rank = rank, .op = IoOp::kOpen,
+                     .path = path, .fd = fd, .mode = mode});
 }
 
 void IoTracer::record_close(double time, int rank, const std::string& path,
                             int fd) {
-  IoEvent e;
-  e.time = time;
-  e.rank = rank;
-  e.op = IoOp::kClose;
-  e.path = path;
-  e.fd = fd;
-  events_.push_back(std::move(e));
+  events_.push_back(
+      {.time = time, .rank = rank, .op = IoOp::kClose, .path = path, .fd = fd});
 }
 
-void IoTracer::clear() { events_.clear(); }
+void IoTracer::begin_phase(const std::string& name) {
+  phases_.push_back(PhaseMark{events_.size(), name});
+}
+
+void IoTracer::clear() {
+  events_.clear();
+  phases_.clear();
+}
 
 namespace {
 std::size_t size_bucket(std::uint64_t bytes) {

@@ -26,7 +26,7 @@ class MetricsRegistry;
 namespace paramrio::trace {
 
 /// What a trace record describes: a data request or a descriptor-lifecycle
-/// event (the latter drive check::IoChecker's fd-lifecycle analysis).
+/// event (the latter drive check::analyze_trace's fd-lifecycle analysis).
 enum class IoOp : std::uint8_t { kRead, kWrite, kOpen, kClose };
 
 struct IoEvent {
@@ -41,6 +41,15 @@ struct IoEvent {
   pfs::OpenMode mode = pfs::OpenMode::kRead;  ///< for kOpen events
 
   bool is_data() const { return op == IoOp::kRead || op == IoOp::kWrite; }
+};
+
+/// A named phase boundary: events at index >= first_event belong to `name`
+/// until the next mark.  check::analyze_trace scopes write-conflict
+/// detection per phase (two dumps to the same path must not accuse each
+/// other).
+struct PhaseMark {
+  std::size_t first_event = 0;
+  std::string name;
 };
 
 /// Per-direction request statistics.
@@ -99,8 +108,13 @@ class IoTracer final : public pfs::IoObserver {
     record_close(time, rank, path, fd);
   }
 
+  /// Start a named phase; subsequent events belong to it.
+  void begin_phase(const std::string& name);
+
+  /// Drop all events and phase marks.
   void clear();
   const std::vector<IoEvent>& events() const { return events_; }
+  const std::vector<PhaseMark>& phases() const { return phases_; }
 
   TraceReport analyze() const;
 
@@ -113,6 +127,7 @@ class IoTracer final : public pfs::IoObserver {
 
  private:
   std::vector<IoEvent> events_;
+  std::vector<PhaseMark> phases_;
 };
 
 }  // namespace paramrio::trace

@@ -267,13 +267,22 @@ void detach();
 /// with this.
 Verifier* verifier();
 
-/// RAII attach/detach, for tests and the bench harness.
+/// RAII attach/detach, so a run that throws leaves no verifier attached.
+/// nullptr is a no-op (an optional verifier needs no branch at the call
+/// site).
 class Attach {
  public:
-  explicit Attach(Verifier& v) { attach(&v); }
-  ~Attach() { detach(); }
+  explicit Attach(Verifier* v) : v_(v) {
+    if (v_ != nullptr) attach(v_);
+  }
+  ~Attach() {
+    if (v_ != nullptr) detach();
+  }
   Attach(const Attach&) = delete;
   Attach& operator=(const Attach&) = delete;
+
+ private:
+  Verifier* v_;
 };
 
 }  // namespace paramrio::verify

@@ -1,4 +1,4 @@
-// Tests for the I/O correctness analyzer (check::IoChecker): every
+// Tests for the I/O correctness analyzer (check::analyze_trace): every
 // diagnostic kind on synthetic traces, clean audits of all four ENZO dump
 // backends, and negative tests proving injected corruption is caught.
 #include <gtest/gtest.h>
@@ -18,7 +18,7 @@ namespace {
 
 using check::CheckOptions;
 using check::CheckReport;
-using check::IoChecker;
+using check::analyze_trace;
 using check::Kind;
 using pfs::OpenMode;
 
@@ -38,8 +38,8 @@ std::vector<std::byte> bytes(std::size_t n) {
 
 TEST(IoChecker, CleanSingleWriterRoundTripHasNoDiagnostics) {
   pfs::LocalFs fs(pfs::LocalFsParams{});
-  IoChecker checker;
-  fs.attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
   sim::Engine::run(opts(1), [&](sim::Proc&) {
     int fd = fs.open("f", OpenMode::kCreate);
     fs.write_at(fd, 0, bytes(1000));
@@ -48,7 +48,7 @@ TEST(IoChecker, CleanSingleWriterRoundTripHasNoDiagnostics) {
     fs.read_at(fd, 0, out);
     fs.close(fd);
   });
-  CheckReport r = checker.analyze(&fs.store());
+  CheckReport r = analyze_trace(tracer, {}, &fs.store());
   EXPECT_TRUE(r.clean()) << r.format();
   EXPECT_EQ(r.errors(), 0u);
   EXPECT_EQ(r.warnings(), 0u);
@@ -57,15 +57,15 @@ TEST(IoChecker, CleanSingleWriterRoundTripHasNoDiagnostics) {
 
 TEST(IoChecker, DetectsCrossRankWriteConflict) {
   pfs::LocalFs fs(pfs::LocalFsParams{});
-  IoChecker checker;
-  fs.attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
   int fd = fs.open("f", OpenMode::kCreate);  // untimed setup
   sim::Engine::run(opts(2), [&](sim::Proc& p) {
     // Both ranks write [500, 1500) — overlap [500, 1500).
     fs.write_at(fd, static_cast<std::uint64_t>(p.rank()) * 500, bytes(1000));
   });
   fs.close(fd);
-  CheckReport r = checker.analyze(&fs.store());
+  CheckReport r = analyze_trace(tracer, {}, &fs.store());
   EXPECT_EQ(r.count(Kind::kWriteConflict), 1u) << r.format();
   ASSERT_FALSE(r.diagnostics.empty());
   const check::Diagnostic& d = r.diagnostics.front();
@@ -77,46 +77,48 @@ TEST(IoChecker, DetectsCrossRankWriteConflict) {
 
 TEST(IoChecker, SameRankOverwriteIsNotAConflict) {
   pfs::LocalFs fs(pfs::LocalFsParams{});
-  IoChecker checker;
-  fs.attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
   sim::Engine::run(opts(1), [&](sim::Proc&) {
     int fd = fs.open("f", OpenMode::kCreate);
     fs.write_at(fd, 0, bytes(100));
     fs.write_at(fd, 0, bytes(100));  // header rewrite: fine
     fs.close(fd);
   });
-  EXPECT_EQ(checker.analyze(&fs.store()).count(Kind::kWriteConflict), 0u);
+  CheckReport r = analyze_trace(tracer, {}, &fs.store());
+  EXPECT_EQ(r.count(Kind::kWriteConflict), 0u) << r.format();
 }
 
 TEST(IoChecker, PhaseBoundaryResetsConflictScope) {
   pfs::LocalFs fs(pfs::LocalFsParams{});
-  IoChecker checker;
-  fs.attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
   int fd = fs.open("f", OpenMode::kCreate);  // untimed setup
-  checker.begin_phase("dump1");
+  tracer.begin_phase("dump1");
   sim::Engine::run(opts(2), [&](sim::Proc& p) {
     if (p.rank() == 0) fs.write_at(fd, 0, bytes(100));
   });
-  checker.begin_phase("dump2");
+  tracer.begin_phase("dump2");
   sim::Engine::run(opts(2), [&](sim::Proc& p) {
     // Rank 1 overwrites rank 0's range, but in a new phase: no conflict.
     if (p.rank() == 1) fs.write_at(fd, 0, bytes(100));
   });
   fs.close(fd);
-  EXPECT_EQ(checker.analyze(&fs.store()).count(Kind::kWriteConflict), 0u);
+  CheckReport r = analyze_trace(tracer, {}, &fs.store());
+  EXPECT_EQ(r.count(Kind::kWriteConflict), 0u) << r.format();
 }
 
 TEST(IoChecker, DetectsHoleInsideDumpFile) {
   pfs::LocalFs fs(pfs::LocalFsParams{});
-  IoChecker checker;
-  fs.attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
   sim::Engine::run(opts(1), [&](sim::Proc&) {
     int fd = fs.open("f", OpenMode::kCreate);
     fs.write_at(fd, 0, bytes(4096));
     fs.write_at(fd, 8192, bytes(4096));  // skips [4096, 8192)
     fs.close(fd);
   });
-  CheckReport r = checker.analyze(&fs.store());
+  CheckReport r = analyze_trace(tracer, {}, &fs.store());
   EXPECT_EQ(r.count(Kind::kHole), 1u) << r.format();
   EXPECT_EQ(r.diagnostics.front().offset, 4096u);
   EXPECT_EQ(r.diagnostics.front().length, 4096u);
@@ -124,8 +126,8 @@ TEST(IoChecker, DetectsHoleInsideDumpFile) {
 
 TEST(IoChecker, DetectsReadBeforeWrite) {
   pfs::LocalFs fs(pfs::LocalFsParams{});
-  IoChecker checker;
-  fs.attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
   sim::Engine::run(opts(1), [&](sim::Proc&) {
     int fd = fs.open("f", OpenMode::kCreate);
     fs.write_at(fd, 1000, bytes(1000));  // zero-fills [0, 1000)
@@ -133,7 +135,7 @@ TEST(IoChecker, DetectsReadBeforeWrite) {
     fs.read_at(fd, 250, out);  // reads bytes never written
     fs.close(fd);
   });
-  CheckReport r = checker.analyze(&fs.store());
+  CheckReport r = analyze_trace(tracer, {}, &fs.store());
   EXPECT_EQ(r.count(Kind::kReadBeforeWrite), 1u) << r.format();
   // The hole [0, 1000) is also flagged.
   EXPECT_EQ(r.count(Kind::kHole), 1u);
@@ -147,8 +149,8 @@ TEST(IoChecker, SievingWriteDoesNotMaterialiseHoles) {
   // left a hole.  Post-fix only the covered runs are written, so the
   // genuine gap shows up as the hole it is.
   pfs::LocalFs fs(pfs::LocalFsParams{});
-  IoChecker checker;
-  fs.attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
   mpi::RuntimeParams rp;
   rp.nprocs = 1;
   mpi::Runtime rt(rp);
@@ -162,7 +164,7 @@ TEST(IoChecker, SievingWriteDoesNotMaterialiseHoles) {
     EXPECT_GE(f.stats().sieve_windows, 1u);
     f.close();
   });
-  CheckReport r = checker.analyze(&fs.store());
+  CheckReport r = analyze_trace(tracer, {}, &fs.store());
   EXPECT_EQ(r.count(Kind::kHole), 1u) << r.format();
   // The covered runs themselves are intact.
   ASSERT_EQ(fs.store().size("g"), 250u);
@@ -180,29 +182,29 @@ TEST(IoChecker, PreexistingFilesAreNotFlagged) {
   int fd = fs.open("pre", OpenMode::kCreate);
   fs.write_at(fd, 0, bytes(100));
   fs.close(fd);
-  IoChecker checker;
-  fs.attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
   sim::Engine::run(opts(1), [&](sim::Proc&) {
     int rd = fs.open("pre", OpenMode::kRead);
     std::vector<std::byte> out(100);
     fs.read_at(rd, 0, out);
     fs.close(rd);
   });
-  CheckReport r = checker.analyze(&fs.store());
+  CheckReport r = analyze_trace(tracer, {}, &fs.store());
   EXPECT_EQ(r.count(Kind::kReadBeforeWrite), 0u) << r.format();
   EXPECT_EQ(r.count(Kind::kHole), 0u);
 }
 
 TEST(IoChecker, DetectsFdLeak) {
   pfs::LocalFs fs(pfs::LocalFsParams{});
-  IoChecker checker;
-  fs.attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
   sim::Engine::run(opts(1), [&](sim::Proc&) {
     int fd = fs.open("f", OpenMode::kCreate);
     fs.write_at(fd, 0, bytes(10));
     // never closed
   });
-  CheckReport r = checker.analyze(&fs.store());
+  CheckReport r = analyze_trace(tracer, {}, &fs.store());
   EXPECT_EQ(r.count(Kind::kFdLeak), 1u) << r.format();
   EXPECT_EQ(r.warnings(), 1u);
   EXPECT_FALSE(r.clean());
@@ -220,7 +222,7 @@ TEST(IoChecker, DetectsDoubleCloseAndUseAfterCloseFromSyntheticTrace) {
   // fd 99 has no open event: it predates the trace, so using it is fine and
   // it must not count as a leak either.
   t.record(0.5, 0, true, "g", 0, 10, 99);
-  CheckReport r = check::analyze_trace(t.events(), CheckOptions{});
+  CheckReport r = analyze_trace(t, {});
   EXPECT_EQ(r.count(Kind::kDoubleClose), 1u) << r.format();
   EXPECT_EQ(r.count(Kind::kUnknownFd), 1u);
   EXPECT_EQ(r.count(Kind::kFdLeak), 0u);
@@ -234,7 +236,7 @@ TEST(IoChecker, DetectsWriteThroughReadOnlyDescriptor) {
   t.record_open(0.3, 1, "f", OpenMode::kRead, 4);
   t.record(0.4, 1, true, "f", 0, 100, 4);  // write through read-only fd
   t.record_close(0.5, 1, "f", 4);
-  CheckReport r = check::analyze_trace(t.events(), CheckOptions{});
+  CheckReport r = analyze_trace(t, {});
   EXPECT_EQ(r.count(Kind::kWriteReadOnly), 1u) << r.format();
 }
 
@@ -247,7 +249,7 @@ TEST(IoChecker, AlignmentLintsCountStripeViolations) {
   t.record(0.2, 0, true, "f", 8192, 512, 3);   // small request
   t.record(0.3, 0, true, "f", 8704, 4096, 3);  // unaligned straddle
   t.record_close(0.4, 0, "f", 3);
-  CheckReport r = check::analyze_trace(t.events(), o);
+  CheckReport r = analyze_trace(t, o);
   EXPECT_EQ(r.count(Kind::kSmallRequest), 1u) << r.format();
   EXPECT_EQ(r.count(Kind::kUnalignedRequest), 1u);
   EXPECT_EQ(r.lints(), 2u);
@@ -262,7 +264,7 @@ TEST(IoChecker, DiagnosticCapKeepsCountsExact) {
   for (int i = 0; i < 32; ++i) {
     t.record(0.1 * i, 0, true, "f", static_cast<std::uint64_t>(i) * 8192, 16);
   }
-  CheckReport r = check::analyze_trace(t.events(), o);
+  CheckReport r = analyze_trace(t, o);
   EXPECT_EQ(r.count(Kind::kSmallRequest), 32u);
   EXPECT_EQ(r.diagnostics.size(), 4u);
 }
@@ -274,7 +276,7 @@ TEST(IoChecker, FormatMentionsVerdictAndKinds) {
   t.record_close(0.2, 0, "f", 3);
   CheckOptions o;
   o.label = "unit";
-  std::string s = check::analyze_trace(t.events(), o, nullptr).format();
+  std::string s = analyze_trace(t, o, nullptr).format();
   EXPECT_NE(s.find("unit"), std::string::npos);
   EXPECT_NE(s.find("CLEAN"), std::string::npos);
   EXPECT_NE(s.find("write-conflict"), std::string::npos);
@@ -317,8 +319,8 @@ TEST_P(BackendAudit, DumpAndRestartAreCleanUnderChecker) {
   // pnetcdf aligns its data region (NcFileConfig::data_alignment); the
   // header/data padding gap is deliberate, not a torn checkpoint.
   o.padding_alignment = 4096;
-  IoChecker checker(o);
-  fs.attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
   mpi::RuntimeParams rp;
   rp.nprocs = p;
   mpi::Runtime rt(rp);
@@ -327,16 +329,16 @@ TEST_P(BackendAudit, DumpAndRestartAreCleanUnderChecker) {
     enzo::EnzoSimulation sim(c, audit_config());
     sim.initialize_from_universe();
     sim.evolve_cycle();
-    if (c.rank() == 0) checker.begin_phase("dump");
+    if (c.rank() == 0) tracer.begin_phase("dump");
     c.barrier();
     backend->write_dump(c, sim.state(), "audit");
     c.barrier();
-    if (c.rank() == 0) checker.begin_phase("restart");
+    if (c.rank() == 0) tracer.begin_phase("restart");
     c.barrier();
     enzo::EnzoSimulation sim2(c, audit_config());
     backend->read_restart(c, sim2.state(), "audit");
   });
-  CheckReport r = checker.analyze(&fs.store());
+  CheckReport r = analyze_trace(tracer, o, &fs.store());
   EXPECT_EQ(r.count(Kind::kWriteConflict), 0u) << r.format();
   EXPECT_EQ(r.count(Kind::kHole), 0u) << r.format();
   EXPECT_EQ(r.count(Kind::kReadBeforeWrite), 0u) << r.format();
@@ -359,8 +361,8 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BackendAudit,
 TEST(BackendAuditNegative, InjectedOverlappingWriteIsDetected) {
   const int p = 4;
   pfs::LocalFs fs(pfs::LocalFsParams{});
-  IoChecker checker;
-  fs.attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
   mpi::RuntimeParams rp;
   rp.nprocs = p;
   mpi::Runtime rt(rp);
@@ -368,7 +370,7 @@ TEST(BackendAuditNegative, InjectedOverlappingWriteIsDetected) {
     enzo::MpiIoBackend backend(fs);
     enzo::EnzoSimulation sim(c, audit_config());
     sim.initialize_from_universe();
-    if (c.rank() == 0) checker.begin_phase("dump");
+    if (c.rank() == 0) tracer.begin_phase("dump");
     c.barrier();
     backend.write_dump(c, sim.state(), "bad");
     c.barrier();
@@ -380,7 +382,7 @@ TEST(BackendAuditNegative, InjectedOverlappingWriteIsDetected) {
       fs.close(fd);
     }
   });
-  CheckReport r = checker.analyze(&fs.store());
+  CheckReport r = analyze_trace(tracer, {}, &fs.store());
   EXPECT_GE(r.count(Kind::kWriteConflict), 1u) << r.format();
   EXPECT_FALSE(r.clean());
 }
@@ -388,8 +390,8 @@ TEST(BackendAuditNegative, InjectedOverlappingWriteIsDetected) {
 TEST(BackendAuditNegative, TruncatedDumpIsDetected) {
   const int p = 4;
   pfs::LocalFs fs(pfs::LocalFsParams{});
-  IoChecker checker;
-  fs.attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
   mpi::RuntimeParams rp;
   rp.nprocs = p;
   mpi::Runtime rt(rp);
@@ -397,12 +399,12 @@ TEST(BackendAuditNegative, TruncatedDumpIsDetected) {
     enzo::MpiIoBackend backend(fs);
     enzo::EnzoSimulation sim(c, audit_config());
     sim.initialize_from_universe();
-    if (c.rank() == 0) checker.begin_phase("dump");
+    if (c.rank() == 0) tracer.begin_phase("dump");
     c.barrier();
     backend.write_dump(c, sim.state(), "trunc");
   });
   // The full trace is clean...
-  ASSERT_TRUE(checker.analyze(&fs.store()).clean());
+  ASSERT_TRUE(analyze_trace(tracer, {}, &fs.store()).clean());
 
   // ...but a dump whose trailing writes never happened (a rank died mid
   // checkpoint) leaves the file short of its extent.  Model it by dropping
@@ -417,15 +419,14 @@ TEST(BackendAuditNegative, TruncatedDumpIsDetected) {
     }
   }
   ASSERT_FALSE(victim.empty());
-  std::vector<trace::IoEvent> events = checker.events();
+  std::vector<trace::IoEvent> events = tracer.events();
   for (auto it = events.rbegin(); it != events.rend(); ++it) {
     if (it->op == trace::IoOp::kWrite && it->path == victim) {
       events.erase(std::next(it).base());
       break;
     }
   }
-  CheckReport r = check::analyze_trace(events, checker.options(), &fs.store(),
-                                       checker.phases());
+  CheckReport r = analyze_trace(events, {}, &fs.store(), tracer.phases());
   EXPECT_GE(r.count(Kind::kHole), 1u) << r.format();
   EXPECT_FALSE(r.clean());
 }
@@ -445,8 +446,8 @@ TEST(BackendAuditAlignment, StripedFsAuditCountsSmallRequestsPerBackend) {
     pfs::StripedFs fs(sp, nw);
     CheckOptions o;
     o.stripe_size = sp.stripe_size;
-    IoChecker checker(o);
-    fs.attach_observer(&checker);
+    trace::IoTracer tracer;
+    fs.attach_observer(&tracer);
     mpi::RuntimeParams rp;
     rp.nprocs = p;
     mpi::Runtime rt(rp);
@@ -454,11 +455,11 @@ TEST(BackendAuditAlignment, StripedFsAuditCountsSmallRequestsPerBackend) {
       auto backend = make_backend(k, fs);
       enzo::EnzoSimulation sim(c, audit_config());
       sim.initialize_from_universe();
-      if (c.rank() == 0) checker.begin_phase("dump");
+      if (c.rank() == 0) tracer.begin_phase("dump");
       c.barrier();
       backend->write_dump(c, sim.state(), "stripe");
     });
-    CheckReport r = checker.analyze(&fs.store());
+    CheckReport r = analyze_trace(tracer, o, &fs.store());
     EXPECT_EQ(r.errors(), 0u) << r.format();
     small_counts[k == Kind4::kHdf4 ? "hdf4" : "mpiio"] =
         r.count(Kind::kSmallRequest);

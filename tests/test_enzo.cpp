@@ -145,8 +145,8 @@ TEST_P(BackendSweep, DumpRestartRoundTripIsExact) {
   pfs::LocalFs fs(pfs::LocalFsParams{});
   check::CheckOptions copts;
   copts.padding_alignment = 4096;  // pnetcdf aligns its data region
-  check::IoChecker checker(copts);
-  fs.attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
   mpi::Runtime rt(rparams(p));
   std::vector<SimulationState> originals(static_cast<std::size_t>(p));
 
@@ -155,13 +155,13 @@ TEST_P(BackendSweep, DumpRestartRoundTripIsExact) {
     EnzoSimulation sim(c, small_config());
     sim.initialize_from_universe();
     sim.evolve_cycle();
-    if (c.rank() == 0) checker.begin_phase("dump");
+    if (c.rank() == 0) tracer.begin_phase("dump");
     c.barrier();
     backend->write_dump(c, sim.state(), "dump");
     originals[static_cast<std::size_t>(c.rank())] = sim.state();
 
     // Fresh state, restart from the dump.
-    if (c.rank() == 0) checker.begin_phase("restart");
+    if (c.rank() == 0) tracer.begin_phase("restart");
     c.barrier();
     EnzoSimulation sim2(c, small_config());
     backend->read_restart(c, sim2.state(), "dump");
@@ -193,7 +193,7 @@ TEST_P(BackendSweep, DumpRestartRoundTripIsExact) {
   });
   // The whole dump+restart must audit clean: no cross-rank write conflicts,
   // holes, reads of never-written bytes, or descriptor-lifecycle bugs.
-  check::CheckReport audit = checker.analyze(&fs.store());
+  check::CheckReport audit = check::analyze_trace(tracer, copts, &fs.store());
   EXPECT_TRUE(audit.clean()) << audit.format();
   EXPECT_EQ(audit.count(check::Kind::kWriteConflict), 0u);
   EXPECT_EQ(audit.count(check::Kind::kHole), 0u);
@@ -206,19 +206,19 @@ TEST_P(BackendSweep, InitialReadPartitionsEveryGrid) {
   pfs::LocalFs fs(pfs::LocalFsParams{});
   check::CheckOptions copts;
   copts.padding_alignment = 4096;  // pnetcdf aligns its data region
-  check::IoChecker checker(copts);
-  fs.attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
   mpi::Runtime rt(rparams(p));
   rt.run([&](mpi::Comm& c) {
     auto backend = make_backend(kind, fs);
     EnzoSimulation sim(c, small_config());
     sim.initialize_from_universe();
     std::size_t n_subgrids = sim.state().hierarchy.grid_count() - 1;
-    if (c.rank() == 0) checker.begin_phase("dump");
+    if (c.rank() == 0) tracer.begin_phase("dump");
     c.barrier();
     backend->write_dump(c, sim.state(), "init");
 
-    if (c.rank() == 0) checker.begin_phase("initial-read");
+    if (c.rank() == 0) tracer.begin_phase("initial-read");
     c.barrier();
     EnzoSimulation fresh(c, small_config());
     backend->read_initial(c, fresh.state(), "init");
@@ -243,7 +243,7 @@ TEST_P(BackendSweep, InitialReadPartitionsEveryGrid) {
       EXPECT_EQ(piece.fields[0], expect.fields[0]);
     }
   });
-  check::CheckReport audit = checker.analyze(&fs.store());
+  check::CheckReport audit = check::analyze_trace(tracer, copts, &fs.store());
   EXPECT_TRUE(audit.clean()) << audit.format();
 }
 
@@ -259,7 +259,7 @@ TEST(BackendMpiIo, DumpHitsViewFlattenCache) {
   // and reused, visible as cache hits in the persisted file stats.
   const int p = 4;
   obs::Collector col;
-  obs::attach(&col);
+  obs::Attach collector_scope(&col);
   pfs::LocalFs fs(pfs::LocalFsParams{});
   mpi::Runtime rt(rparams(p));
   rt.run([&](mpi::Comm& c) {
@@ -268,7 +268,6 @@ TEST(BackendMpiIo, DumpHitsViewFlattenCache) {
     sim.initialize_from_universe();
     mb.write_dump(c, sim.state(), "dump");
   });
-  obs::detach();
   const obs::MetricsRegistry& reg = col.registry();
   std::string scope;
   for (const auto& [s, _] : reg.scopes()) {

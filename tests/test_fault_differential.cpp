@@ -161,8 +161,8 @@ std::map<std::string, std::uint64_t> run_backend(Kind kind,
   pfs::LocalFs fs(pfs::LocalFsParams{});
   check::CheckOptions copts;
   copts.padding_alignment = 4096;  // pnetcdf aligns its data region
-  check::IoChecker checker(copts);
-  fs.attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
 
   fault::Injector injector(transient_plan(seed));
   mpi::io::Hints hints;
@@ -183,12 +183,12 @@ std::map<std::string, std::uint64_t> run_backend(Kind kind,
     EnzoSimulation sim(c, cfg);
     sim.initialize_from_universe();
     sim.evolve_cycle();
-    if (c.rank() == 0) checker.begin_phase("dump");
+    if (c.rank() == 0) tracer.begin_phase("dump");
     c.barrier();
     backend->write_dump(c, sim.state(), "dump");
     originals[static_cast<std::size_t>(c.rank())] = sim.state();
 
-    if (c.rank() == 0) checker.begin_phase("restart");
+    if (c.rank() == 0) tracer.begin_phase("restart");
     c.barrier();
     EnzoSimulation sim2(c, cfg);
     backend->read_restart(c, sim2.state(), "dump");
@@ -200,7 +200,7 @@ std::map<std::string, std::uint64_t> run_backend(Kind kind,
   // The faulted run must still audit clean: retries may rewrite a region,
   // but only ever the same rank rewriting its own bytes — no cross-rank
   // conflicts, holes, reads of never-written data, or leaked descriptors.
-  check::CheckReport audit = checker.analyze(&fs.store());
+  check::CheckReport audit = check::analyze_trace(tracer, copts, &fs.store());
   EXPECT_TRUE(audit.clean())
       << to_cstr(kind) << " seed " << seed << (inject ? " faulted" : " clean")
       << ":\n"

@@ -76,6 +76,63 @@ TEST(Harness, DeterministicAcrossRepeats) {
   EXPECT_EQ(a.fs_bytes_read, b.fs_bytes_read);
 }
 
+// A run that throws must leave no process-wide instrument attached: a clean
+// run after the crash, in the same process, reproduces a clean run made
+// before it byte for byte.
+TEST(Harness, CrashedRunLeavesNoInstrumentAttached) {
+  auto base_spec = [] {
+    RunSpec spec;
+    spec.machine = platform::origin2000_xfs();
+    spec.config = tiny_config();
+    spec.nprocs = 4;
+    spec.backend = Backend::kMpiIo;
+    return spec;
+  };
+  struct Clean {
+    IoResult io;
+    std::string registry;
+  };
+  auto clean_run = [&] {
+    obs::Collector col;
+    RunSpec spec = base_spec();
+    spec.collector = &col;
+    Clean c;
+    c.io = run_enzo_io(spec);
+    c.registry = col.registry().to_json(2);
+    return c;
+  };
+  const Clean before = clean_run();
+
+  // The crash-run instruments outlive the run, as a caller's would.
+  obs::Collector col;
+  verify::Verifier verifier;
+  fault::FaultPlan plan;
+  fault::FaultSpec crash;
+  crash.kind = fault::FaultKind::kCrash;
+  crash.match_reads = false;
+  crash.first_op = 2;  // a few dump writes in, no retry
+  crash.max_faults = 1;
+  plan.specs.push_back(crash);
+  fault::Injector injector(plan);
+  RunSpec spec = base_spec();
+  spec.collector = &col;
+  spec.verifier = &verifier;
+  spec.injector = &injector;
+  EXPECT_THROW(run_enzo_io(spec), CrashError);
+  EXPECT_EQ(injector.counters().count(fault::FaultKind::kCrash), 1u);
+  EXPECT_EQ(obs::collector(), nullptr);
+  EXPECT_EQ(verify::verifier(), nullptr);
+
+  const Clean after = clean_run();
+  EXPECT_EQ(after.io.write_time, before.io.write_time);
+  EXPECT_EQ(after.io.read_time, before.io.read_time);
+  EXPECT_EQ(after.io.fs_bytes_written, before.io.fs_bytes_written);
+  EXPECT_EQ(after.io.fs_bytes_read, before.io.fs_bytes_read);
+  EXPECT_EQ(after.io.payload_bytes, before.io.payload_bytes);
+  EXPECT_EQ(after.io.grids, before.io.grids);
+  EXPECT_EQ(after.registry, before.registry);
+}
+
 TEST(Harness, BackendNames) {
   EXPECT_EQ(to_string(Backend::kHdf4), "HDF4");
   EXPECT_EQ(to_string(Backend::kMpiIo), "MPI-IO");

@@ -150,6 +150,67 @@ TEST(SdFile, TruncatedFileRejected) {
   });
 }
 
+TEST(SdFile, CorruptDimCountRejectedBeforeAllocating) {
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  sim::Engine::run(opts(1), [&](sim::Proc&) {
+    SdFile f = SdFile::create(fs, "n");
+    f.write_dataset("d", NumberType::kFloat32, {4}, float_data(4));
+    f.close();
+  });
+  // Record layout: 8-byte file preamble, then kind u32 + hdrlen u32, then
+  // the header: name (u32 length + "d"), type u8, ndims u32.
+  const std::uint64_t ndims_high_byte = 8 + 8 + 4 + 1 + 1 + 3;
+  std::vector<std::byte> b(1);
+  fs.store().read_at("n", ndims_high_byte, b);
+  b[0] ^= std::byte{0xFF};  // ndims 1 -> 0xFF000001
+  fs.store().write_at("n", ndims_high_byte, b);
+  sim::Engine::run(opts(1), [&](sim::Proc&) {
+    EXPECT_THROW(SdFile::open(fs, "n"), FormatError);
+  });
+}
+
+// Exhaustive corruption: flip every byte of a tiny file with three masks,
+// then reopen and read everything.  Each mutation must either still read or
+// throw a paramrio::Error — never std::bad_alloc or a hang.
+TEST(SdFile, EveryByteFlipFailsCleanly) {
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  sim::Engine::run(opts(1), [&](sim::Proc&) {
+    SdFile f = SdFile::create(fs, "t");
+    f.write_dataset("d", NumberType::kFloat32, {2, 2}, float_data(4));
+    f.write_attribute("a", float_data(1));
+    f.close();
+  });
+  std::vector<std::byte> valid(fs.store().size("t"));
+  fs.store().read_at("t", 0, valid);
+
+  int rejected = 0;
+  sim::Engine::run(opts(1), [&](sim::Proc&) {
+    for (std::size_t i = 0; i < valid.size(); ++i) {
+      for (std::byte mask : {std::byte{0xFF}, std::byte{0x80}, std::byte{1}}) {
+        std::vector<std::byte> bad = valid;
+        bad[i] ^= mask;
+        fs.store().create("m");
+        fs.store().write_at("m", 0, bad);
+        try {
+          SdFile f = SdFile::open(fs, "m");
+          for (const std::string& name : f.dataset_names()) {
+            std::vector<std::byte> out(f.info(name).data_bytes);
+            f.read_dataset(name, out);
+          }
+          f.read_attribute("a");
+          f.close();
+        } catch (const Error&) {
+          ++rejected;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "byte " << i << " mask "
+                        << std::to_integer<int>(mask) << ": " << e.what();
+        }
+      }
+    }
+  });
+  EXPECT_GT(rejected, 0);
+}
+
 TEST(SdFile, ManyDatasetsDirectoryOrder) {
   pfs::LocalFs fs(pfs::LocalFsParams{});
   sim::Engine::run(opts(1), [&](sim::Proc&) {

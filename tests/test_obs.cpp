@@ -25,12 +25,6 @@ sim::Engine::Options opts(int n) {
   return o;
 }
 
-/// attach/detach guard so a failing test cannot leak a dangling collector.
-struct Attached {
-  explicit Attached(Collector& c) { attach(&c); }
-  ~Attached() { detach(); }
-};
-
 TEST(Registry, CountersAndValues) {
   MetricsRegistry reg;
   reg.add("s", "n", 2);
@@ -65,7 +59,7 @@ TEST(Registry, JsonEscapes) {
 TEST(Span, NoOpWithoutCollectorOrSimulation) {
   // Outside a simulation even with a collector attached.
   Collector c;
-  Attached guard(c);
+  Attach guard(&c);
   {
     OBS_SPAN("ignored", TimeCategory::kCpu);
     span_counter("ignored", 1);
@@ -86,7 +80,7 @@ TEST(Span, NoOpWithoutCollectorOrSimulation) {
 
 TEST(Span, RecordsNestingDepthAndCategoryDeltas) {
   Collector c;
-  Attached guard(c);
+  Attach guard(&c);
   sim::Engine::run(opts(2), [](sim::Proc& p) {
     OBS_SPAN("outer", TimeCategory::kIo);
     p.advance(0.5, sim::TimeCategory::kCpu);
@@ -126,7 +120,7 @@ TEST(Span, RecordsNestingDepthAndCategoryDeltas) {
 
 TEST(Span, RollupMatchesProcStats) {
   Collector c;
-  Attached guard(c);
+  Attach guard(&c);
   auto res = sim::Engine::run(opts(3), [](sim::Proc& p) {
     OBS_SPAN("all", TimeCategory::kCpu);
     p.advance(0.1 * (p.rank() + 1), sim::TimeCategory::kCpu);
@@ -145,7 +139,7 @@ TEST(Span, RollupMatchesProcStats) {
 
 TEST(Span, UnbalancedInstrumentationIsDetected) {
   Collector c;
-  Attached guard(c);
+  Attach guard(&c);
   sim::Engine::run(opts(1), [&](sim::Proc& p) {
     c.begin_span(p, "left_open", TimeCategory::kCpu);
     p.advance(1.0);
@@ -165,7 +159,7 @@ TEST(Span, UnbalancedInstrumentationIsDetected) {
 
 TEST(Span, CounterSamplesAreRecorded) {
   Collector c;
-  Attached guard(c);
+  Attach guard(&c);
   sim::Engine::run(opts(1), [](sim::Proc& p) {
     p.advance(0.5);
     counter_sample("window_fill", 4096.0);
@@ -177,7 +171,7 @@ TEST(Span, CounterSamplesAreRecorded) {
 }
 
 void run_workload(Collector& c) {
-  attach(&c);
+  Attach guard(&c);
   sim::Engine::run(opts(2), [](sim::Proc& p) {
     OBS_SPAN("phase_a", TimeCategory::kCpu);
     p.advance(1.0 / 3.0);
@@ -188,7 +182,6 @@ void run_workload(Collector& c) {
       p.advance(0.1, sim::TimeCategory::kIo);
     }
   });
-  detach();
 }
 
 TEST(Exporters, ChromeTraceIsDeterministicAndWellFormed) {
@@ -346,7 +339,7 @@ TEST(Histogram, ExportIsNonzeroOnly) {
 
 TEST(Detail, OffByDefaultRecordsNothing) {
   Collector c;
-  Attached guard(c);
+  Attach guard(&c);
   EXPECT_FALSE(c.detail());
   sim::Engine::run(opts(1), [](sim::Proc& p) {
     gauge("track", 1.0);
@@ -366,7 +359,7 @@ TEST(Detail, OffByDefaultRecordsNothing) {
 TEST(Detail, OnRecordsAndExportsUnderDedicatedScopes) {
   Collector c;
   c.set_detail(true);
-  Attached guard(c);
+  Attach guard(&c);
   sim::Engine::run(opts(1), [](sim::Proc& p) {
     p.advance(0.5);
     gauge_int("srv/backlog", 3);
@@ -387,7 +380,7 @@ TEST(Detail, DeferredModeWaitsAreDropped) {
   // work the rank did not actually block on; they must not become blame.
   Collector c;
   c.set_detail(true);
-  Attached guard(c);
+  Attach guard(&c);
   sim::Engine::run(opts(1), [&c](sim::Proc& p) {
     p.advance(0.25);
     {
@@ -407,7 +400,7 @@ TEST(Detail, DeferredModeWaitsAreDropped) {
 TEST(Blame, ReattributesWaitsAndSumsToWall) {
   Collector c;
   c.set_detail(true);
-  Attached guard(c);
+  Attach guard(&c);
   sim::Engine::run(opts(2), [](sim::Proc& p) {
     OBS_SPAN("dump", TimeCategory::kIo);
     {
@@ -464,7 +457,7 @@ TEST(Blame, ReattributesWaitsAndSumsToWall) {
 
 TEST(Blame, MissingRootYieldsEmptyReport) {
   Collector c;
-  Attached guard(c);
+  Attach guard(&c);
   sim::Engine::run(opts(1), [](sim::Proc& p) {
     OBS_SPAN("other", TimeCategory::kCpu);
     p.advance(0.5);

@@ -242,8 +242,8 @@ SweepOutcome run_write_sweep(int method, bool overlap, unsigned seed) {
   sp.n_io_nodes = 4;
   net::Network nw(np, p, sp.n_io_nodes);
   pfs::StripedFs fs(sp, nw);
-  check::IoChecker checker;
-  fs.attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
   RuntimeParams rp = rparams(p);
   rp.extra_fabric_nodes = sp.n_io_nodes;
   Runtime rt(rp);
@@ -297,7 +297,7 @@ SweepOutcome run_write_sweep(int method, bool overlap, unsigned seed) {
     o.windows += s.two_phase_windows;
     o.overlap_windows += s.overlap_windows;
   }
-  o.checker_clean = checker.analyze(&fs.store()).clean();
+  o.checker_clean = check::analyze_trace(tracer, {}, &fs.store()).clean();
   return o;
 }
 

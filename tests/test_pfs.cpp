@@ -91,6 +91,40 @@ TEST(LocalFs, BadDescriptorAndModeChecks) {
   });
 }
 
+/// Counts the data requests it sees.
+struct CountingObserver final : pfs::IoObserver {
+  int requests = 0;
+  void on_io(double, int, bool, const std::string&, std::uint64_t,
+             std::uint64_t, int) override {
+    ++requests;
+  }
+};
+
+TEST(LocalFs, ObserverSlotRejectsASecondObserver) {
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  CountingObserver first, second;
+  fs.attach_observer(&first);
+  fs.attach_observer(&first);  // re-attaching the same observer is a no-op
+  // A second, distinct observer must not silently detach the first.
+  EXPECT_THROW(fs.attach_observer(&second), Error);
+  auto write_once = [&] {
+    Engine::run(opts(1), [&](Proc&) {
+      int fd = fs.open("f", OpenMode::kCreate);
+      fs.write_at(fd, 0, pattern(64));
+      fs.close(fd);
+    });
+  };
+  write_once();
+  EXPECT_EQ(first.requests, 1);
+  EXPECT_EQ(second.requests, 0);
+
+  fs.attach_observer(nullptr);
+  fs.attach_observer(&second);
+  write_once();
+  EXPECT_EQ(first.requests, 1);
+  EXPECT_EQ(second.requests, 1);
+}
+
 TEST(LocalFs, CreateTruncatesExisting) {
   pfs::LocalFs fs(pfs::LocalFsParams{});
   Engine::run(opts(1), [&](Proc&) {

@@ -244,5 +244,61 @@ TEST(NcFile, SingleSynchronisationPerDefinePhase) {
   EXPECT_LT(define_time, barrier_time);
 }
 
+// Exhaustive header corruption: flip every byte of the preamble and header
+// of a tiny file with three masks, then reopen and read everything.  Each
+// mutation must either still read or throw a paramrio::Error — never crash
+// (out-of-range dimension ids) or raise std::bad_alloc (sizes taken on
+// trust).
+TEST(NcFile, EveryHeaderByteFlipFailsCleanly) {
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  Runtime rt(rparams(1));
+  rt.run([&](Comm& c) {
+    NcFile nc = NcFile::create(c, fs, "t.nc");
+    int dz = nc.def_dim("z", 2);
+    int dx = nc.def_dim("x", 4);
+    int v = nc.def_var("d", NcType::kFloat, {dz, dx});
+    const std::uint32_t t = 7;
+    nc.put_att("t", std::as_bytes(std::span(&t, 1)));
+    nc.enddef();
+    nc.put_var_all(v, seq_f32(8));
+    nc.close();
+  });
+  std::vector<std::byte> valid(fs.store().size("t.nc"));
+  fs.store().read_at("t.nc", 0, valid);
+  std::uint32_t header_bytes = 0;
+  std::memcpy(&header_bytes, valid.data() + 4, 4);
+  ASSERT_LT(8 + header_bytes, valid.size());
+
+  int cases = 0, rejected = 0;
+  rt.run([&](Comm& c) {
+    for (std::size_t i = 0; i < 8 + header_bytes; ++i) {
+      for (std::byte mask : {std::byte{0xFF}, std::byte{0x80}, std::byte{1}}) {
+        std::vector<std::byte> bad = valid;
+        bad[i] ^= mask;
+        fs.store().create("m.nc");
+        fs.store().write_at("m.nc", 0, bad);
+        ++cases;
+        try {
+          NcFile nc = NcFile::open(c, fs, "m.nc");
+          for (std::size_t id = 0; id < nc.var_count(); ++id) {
+            const int varid = static_cast<int>(id);
+            std::vector<std::byte> out(nc.var(varid).bytes);
+            nc.get_var_all(varid, out);
+          }
+          if (nc.has_att("t")) nc.get_att("t");
+          nc.close();
+        } catch (const Error&) {
+          ++rejected;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "byte " << i << " mask "
+                        << std::to_integer<int>(mask) << ": " << e.what();
+        }
+      }
+    }
+  });
+  EXPECT_EQ(cases, static_cast<int>(3 * (8 + header_bytes)));
+  EXPECT_GT(rejected, 0);
+}
+
 }  // namespace
 }  // namespace paramrio::pnetcdf

@@ -135,8 +135,8 @@ TEST_P(CollectiveEquivalenceSweep, CollectiveMatchesIndependentAndAuditsClean) {
   check::CheckOptions copts;
   copts.label = "collective-equivalence sweep seed " + std::to_string(seed);
   if (striped) copts.stripe_size = sp.stripe_size;
-  check::IoChecker checker(copts);
-  fs->attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs->attach_observer(&tracer);
 
   // Random partition of [0, file_bytes) dealt round-robin (with a
   // seed-dependent shift) to ranks: every rank's view is hole-y and all
@@ -217,7 +217,7 @@ TEST_P(CollectiveEquivalenceSweep, CollectiveMatchesIndependentAndAuditsClean) {
   for (std::uint64_t i = 0; i < file_bytes; ++i) {
     ASSERT_EQ(a[i], static_cast<std::byte>(i % 251)) << "byte " << i;
   }
-  check::CheckReport r = checker.analyze(&fs->store());
+  check::CheckReport r = check::analyze_trace(tracer, copts, &fs->store());
   EXPECT_TRUE(r.clean()) << r.format();
 }
 

@@ -384,9 +384,10 @@ DetailRun detail_run(sim::SchedBackend backend, std::uint64_t seed) {
   jobs[1].name = "b";
   jobs[1].params = job_params(4);
   jobs[1].body = [&st](mpi::Comm& c) { io_workload(c, st.fs, "b", 8); };
-  obs::attach(&col);
-  mpi::MultiRuntime::run(std::move(jobs));
-  obs::detach();
+  {
+    obs::Attach collector_scope(&col);
+    mpi::MultiRuntime::run(std::move(jobs));
+  }
   col.export_detail();
   DetailRun r;
   r.fingerprint = col.timeline().integer_fingerprint();
@@ -430,9 +431,10 @@ TEST(MultiJob, LoneTenantDetailHasNoPerJobTracks) {
   jobs[0].name = "solo";
   jobs[0].params = job_params(4);
   jobs[0].body = [&st](mpi::Comm& c) { io_workload(c, st.fs, "solo", 8); };
-  obs::attach(&col);
-  mpi::MultiRuntime::run(std::move(jobs));
-  obs::detach();
+  {
+    obs::Attach collector_scope(&col);
+    mpi::MultiRuntime::run(std::move(jobs));
+  }
   EXPECT_FALSE(col.timeline().empty());
   for (const auto& [name, track] : col.timeline().tracks()) {
     EXPECT_EQ(name.find("/job:"), std::string::npos)

@@ -154,13 +154,13 @@ pfs::StripedFsParams striped_params() {
 /// The dump+restart body shared by the direct and staged runs: one evolved
 /// cycle, dump, fresh-state restart, restart must equal the dumped state.
 void dump_restart(Kind kind, pfs::FileSystem& fs,
-                  const mpi::io::Hints& hints, check::IoChecker& checker,
+                  const mpi::io::Hints& hints, trace::IoTracer& tracer,
                   mpi::Comm& c, StagedFs* staged, DrainPolicy policy) {
   auto backend = make_backend(kind, fs, hints);
   EnzoSimulation sim(c, workload());
   sim.initialize_from_universe();
   sim.evolve_cycle();
-  if (c.rank() == 0) checker.begin_phase("dump");
+  if (c.rank() == 0) tracer.begin_phase("dump");
   c.barrier();
   backend->write_dump(c, sim.state(), "dump");
   if (staged != nullptr) {
@@ -170,7 +170,7 @@ void dump_restart(Kind kind, pfs::FileSystem& fs,
     c.barrier();
   }
 
-  if (c.rank() == 0) checker.begin_phase("restart");
+  if (c.rank() == 0) tracer.begin_phase("restart");
   c.barrier();
   EnzoSimulation sim2(c, workload());
   backend->read_restart(c, sim2.state(), "dump");
@@ -192,20 +192,20 @@ DirectOutcome run_direct(Kind kind, std::uint64_t perturb,
   pfs::StripedFs fs(sp, nw);
   check::CheckOptions copts;
   copts.padding_alignment = 4096;
-  check::IoChecker checker(copts);
-  fs.attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
 
   verify::Verifier v;
   {
-    verify::Attach attach(v);
+    verify::Attach attach(&v);
     mpi::RuntimeParams rp = rparams(kProcs, perturb, engine);
     rp.extra_fabric_nodes = sp.n_io_nodes;
     mpi::Runtime rt(rp);
     rt.run([&](mpi::Comm& c) {
-      dump_restart(kind, fs, {}, checker, c, nullptr, DrainPolicy::kLazy);
+      dump_restart(kind, fs, {}, tracer, c, nullptr, DrainPolicy::kLazy);
     });
   }
-  check::CheckReport audit = checker.analyze(&fs.store());
+  check::CheckReport audit = check::analyze_trace(tracer, copts, &fs.store());
   EXPECT_TRUE(audit.clean()) << to_cstr(kind) << " direct:\n"
                              << audit.format();
   EXPECT_TRUE(v.report().clean()) << to_cstr(kind) << " direct:\n"
@@ -237,22 +237,23 @@ StagedOutcome run_staged(Kind kind, DrainPolicy policy, std::uint64_t perturb,
 
   check::CheckOptions copts;
   copts.padding_alignment = 4096;
-  check::IoChecker checker(copts);
-  staged.attach_observer(&checker);
+  trace::IoTracer tracer;
+  staged.attach_observer(&tracer);
 
   verify::Verifier v;
   {
-    verify::Attach attach(v);
+    verify::Attach attach(&v);
     mpi::RuntimeParams rp = rparams(kProcs, perturb, engine);
     rp.extra_fabric_nodes = sp.n_io_nodes;
     mpi::Runtime rt(rp);
     rt.run([&](mpi::Comm& c) {
-      dump_restart(kind, staged, {}, checker, c, &staged, policy);
+      dump_restart(kind, staged, {}, tracer, c, &staged, policy);
     });
   }
   if (policy == DrainPolicy::kLazy) staged.flush_untimed();
 
-  check::CheckReport audit = checker.analyze(&staged.store());
+  check::CheckReport audit =
+      check::analyze_trace(tracer, copts, &staged.store());
   EXPECT_TRUE(audit.clean()) << to_cstr(kind) << " staged:\n"
                              << audit.format();
   EXPECT_TRUE(v.report().clean()) << to_cstr(kind) << " staged:\n"
@@ -751,7 +752,7 @@ TEST(StageBlame, SettleWaitIsBlamedAsStageDrain) {
   StagedFs staged(StagedFsParams{}, t.staging, t.dest);
   obs::Collector col;
   col.set_detail(true);
-  obs::attach(&col);
+  obs::Attach collector_scope(&col);
   sim::Engine::Options opts;
   opts.nprocs = 1;
   sim::Engine::run(opts, [&](sim::Proc&) {
@@ -769,7 +770,6 @@ TEST(StageBlame, SettleWaitIsBlamedAsStageDrain) {
       staged.drain_settle();
     }
   });
-  obs::detach();
 
   const obs::BlameReport r = obs::build_blame(col, "dump");
   ASSERT_EQ(r.nranks, 1);

@@ -53,7 +53,7 @@ const verify::Violation* find_violation(const verify::Report& r, Rule rule) {
 TEST(VerifyNegative, CollectiveMismatchIsCaught) {
   verify::Verifier v;
   {
-    verify::Attach attach(v);
+    verify::Attach attach(&v);
     mpi::Runtime rt(rparams(2));
     try {
       rt.run([](mpi::Comm& c) {
@@ -81,7 +81,7 @@ TEST(VerifyNegative, CollectiveMismatchIsCaught) {
 TEST(VerifyNegative, RootDivergenceIsCaught) {
   verify::Verifier v;
   {
-    verify::Attach attach(v);
+    verify::Attach attach(&v);
     mpi::Runtime rt(rparams(2));
     try {
       rt.run([](mpi::Comm& c) {
@@ -101,7 +101,7 @@ TEST(VerifyNegative, RootDivergenceIsCaught) {
 TEST(VerifyNegative, HintDivergenceIsCaught) {
   verify::Verifier v;
   {
-    verify::Attach attach(v);
+    verify::Attach attach(&v);
     pfs::LocalFs fs(pfs::LocalFsParams{});
     mpi::Runtime rt(rparams(2));
     rt.run([&](mpi::Comm& c) {
@@ -122,7 +122,7 @@ TEST(VerifyNegative, HintDivergenceIsCaught) {
 TEST(VerifyNegative, MissingWaitIsCaughtAndCounted) {
   verify::Verifier v;
   {
-    verify::Attach attach(v);
+    verify::Attach attach(&v);
     pfs::LocalFs fs(pfs::LocalFsParams{});
     mpi::Runtime rt(rparams(2));
     rt.run([&](mpi::Comm& c) {
@@ -145,7 +145,7 @@ TEST(VerifyNegative, MissingWaitIsCaughtAndCounted) {
 TEST(VerifyNegative, UnpairedSplitCollectiveIsCaught) {
   verify::Verifier v;
   {
-    verify::Attach attach(v);
+    verify::Attach attach(&v);
     pfs::LocalFs fs(pfs::LocalFsParams{});
     mpi::Runtime rt(rparams(2));
     rt.run([&](mpi::Comm& c) {
@@ -166,7 +166,7 @@ TEST(VerifyNegative, UnpairedSplitCollectiveIsCaught) {
 TEST(VerifyNegative, UnsettledDeferredScopeIsCaught) {
   verify::Verifier v;
   {
-    verify::Attach attach(v);
+    verify::Attach attach(&v);
     mpi::Runtime rt(rparams(2));
     rt.run([](mpi::Comm& c) {
       if (c.rank() == 1) {
@@ -185,7 +185,7 @@ TEST(VerifyNegative, UnsettledDeferredScopeIsCaught) {
 TEST(VerifyNegative, PostCloseIoIsCaught) {
   verify::Verifier v;
   {
-    verify::Attach attach(v);
+    verify::Attach attach(&v);
     pfs::LocalFs fs(pfs::LocalFsParams{});
     mpi::Runtime rt(rparams(1));
     rt.run([&](mpi::Comm& c) {
@@ -209,7 +209,7 @@ TEST(VerifyNegative, PostCloseIoIsCaught) {
 TEST(VerifyNegative, PrefetchLeakIsALint) {
   verify::Verifier v;
   {
-    verify::Attach attach(v);
+    verify::Attach attach(&v);
     pfs::LocalFs fs(pfs::LocalFsParams{});
     mpi::Runtime rt(rparams(1));
     rt.run([&](mpi::Comm& c) {
@@ -231,7 +231,7 @@ TEST(VerifyNegative, DeadlockIsDiagnosedWithBlockedRanks) {
   verify::Verifier v;
   std::string diagnosis;
   {
-    verify::Attach attach(v);
+    verify::Attach attach(&v);
     mpi::Runtime rt(rparams(2));
     try {
       rt.run([](mpi::Comm& c) {
@@ -352,12 +352,12 @@ std::map<std::string, std::uint64_t> run_perturbed(bench::Backend kind,
   pfs::LocalFs fs(pfs::LocalFsParams{});
   check::CheckOptions copts;
   copts.padding_alignment = 4096;  // pnetcdf aligns its data region
-  check::IoChecker checker(copts);
-  fs.attach_observer(&checker);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
 
   verify::Verifier v;
   {
-    verify::Attach attach(v);
+    verify::Attach attach(&v);
     mpi::Runtime rt(rparams(4, seed));
     rt.run([&](mpi::Comm& c) {
       auto backend = make_backend(kind, fs);
@@ -372,7 +372,7 @@ std::map<std::string, std::uint64_t> run_perturbed(bench::Backend kind,
   EXPECT_TRUE(v.report().violations.empty())
       << bench::to_string(kind) << " seed " << seed << ":\n"
       << v.report().format();
-  check::CheckReport audit = checker.analyze(&fs.store());
+  check::CheckReport audit = check::analyze_trace(tracer, copts, &fs.store());
   EXPECT_TRUE(audit.clean()) << bench::to_string(kind) << " seed " << seed
                              << ":\n" << audit.format();
   return store_checksums(fs.store());
