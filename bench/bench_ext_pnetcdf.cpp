@@ -7,20 +7,38 @@
 // MPI-IO, parallel HDF5, and the PnetCDF-analogue on the Origin2000 model:
 // the expected result (and the SC 2003 paper's headline) is that PnetCDF
 // tracks raw MPI-IO while HDF5 trails far behind.
+//
+// Flags: --tiny       one small configuration (AMR64, P=4; CI smoke run)
+//        --json <f>   machine-readable results (see bench::JsonReporter)
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "harness.hpp"
 
 using namespace paramrio;
 
-int main() {
+int main(int argc, char** argv) {
+  bool tiny = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == "--tiny") tiny = true;
+  }
+  bench::JsonReporter json("ext_pnetcdf", argc, argv);
+
   bench::print_header(
       "Extension — PnetCDF-analogue vs HDF5 vs raw MPI-IO (Origin2000)",
       "expected: PnetCDF ~ MPI-IO; HDF5 several times slower (its four "
       "overheads removed by design)");
 
-  for (auto size : {enzo::ProblemSize::kAmr64, enzo::ProblemSize::kAmr128}) {
-    for (int p : {8, 16}) {
+  std::vector<enzo::ProblemSize> sizes{enzo::ProblemSize::kAmr64};
+  std::vector<int> procs{4};
+  if (!tiny) {
+    sizes.push_back(enzo::ProblemSize::kAmr128);
+    procs = {8, 16};
+  }
+
+  for (auto size : sizes) {
+    for (int p : procs) {
       double mpiio_write = 0;
       for (auto b : {bench::Backend::kMpiIo, bench::Backend::kPnetcdf,
                      bench::Backend::kHdf5}) {
@@ -31,6 +49,7 @@ int main() {
         spec.backend = b;
         bench::IoResult r = bench::run_enzo_io(spec);
         bench::print_row(spec.machine.name, enzo::to_string(size), p, b, r);
+        json.add_row(spec.machine.name, enzo::to_string(size), p, b, r);
         if (b == bench::Backend::kMpiIo) mpiio_write = r.write_time;
         if (b == bench::Backend::kPnetcdf) {
           std::printf("    -> PnetCDF write overhead vs raw MPI-IO: %+.0f%%\n",

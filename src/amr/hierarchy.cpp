@@ -159,16 +159,22 @@ Hierarchy Hierarchy::deserialize(std::span<const std::byte> data) {
     for (double& e : g.right_edge) e = r.f64();
     for (auto& d : g.dims) d = r.u64();
     g.owner = static_cast<int>(r.u32());
-    if (i == 0) {
-      PARAMRIO_REQUIRE(g.level == 0, "Hierarchy: first grid must be root");
-      h.set_root(g.dims);
-      h.grids_[0] = g;
-    } else {
-      // Re-add preserving the original id.
-      std::uint64_t saved_next = h.next_id_;
-      h.next_id_ = g.id;
-      h.add_grid(g);
-      h.next_id_ = std::max(saved_next, g.id + 1);
+    // Rebuilding through set_root/add_grid checks the stored tree; a blob
+    // that breaks their preconditions is malformed input, not a bug.
+    try {
+      if (i == 0) {
+        PARAMRIO_REQUIRE(g.level == 0, "Hierarchy: first grid must be root");
+        h.set_root(g.dims);
+        h.grids_[0] = g;
+      } else {
+        // Re-add preserving the original id.
+        std::uint64_t saved_next = h.next_id_;
+        h.next_id_ = g.id;
+        h.add_grid(g);
+        h.next_id_ = std::max(saved_next, g.id + 1);
+      }
+    } catch (const LogicError& e) {
+      throw FormatError(std::string("hierarchy blob: ") + e.what());
     }
   }
   h.next_id_ = std::max(h.next_id_, next_id);

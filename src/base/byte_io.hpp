@@ -103,7 +103,7 @@ class ByteReader {
 
  private:
   void need(std::size_t n) const {
-    if (pos_ + n > data_.size()) {
+    if (n > data_.size() - pos_) {
       throw FormatError("byte reader overrun: need " + std::to_string(n) +
                         " at offset " + std::to_string(pos_) + " of " +
                         std::to_string(data_.size()));

@@ -18,7 +18,8 @@
 // system, so a crash while committing simply leaves the dump uncommitted —
 // there is no window in which a half-written dump looks valid.  Torn dumps
 // are additionally detectable by the check analyzer (their write trace shows
-// holes / missing files) and by dump_inspect's format validation.
+// holes / missing files) and by read_dump_extents (enzo/dump_inspect.hpp),
+// the single reader that validates every format's layout.
 #pragma once
 
 #include <cstdint>

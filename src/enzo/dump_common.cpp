@@ -1,9 +1,12 @@
 #include "enzo/dump_common.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 
+#include "amr/particles_par.hpp"
 #include "base/byte_io.hpp"
+#include "obs/profiler.hpp"
 
 namespace paramrio::enzo {
 
@@ -29,11 +32,39 @@ DumpMeta DumpMeta::deserialize(std::span<const std::byte> data) {
   return m;
 }
 
+DumpMeta make_dump_meta(mpi::Comm& comm, const SimulationState& state,
+                        const char* span) {
+  DumpMeta meta;
+  meta.time = state.time;
+  meta.cycle = state.cycle;
+  {
+    OBS_SPAN(span, sim::TimeCategory::kComm);
+    meta.n_particles = comm.allreduce_sum(state.my_particles.size());
+  }
+  meta.hierarchy = state.hierarchy;
+  return meta;
+}
+
+std::string subgrid_file_name(const std::string& base, std::uint64_t id) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, ".grid%06llu",
+                static_cast<unsigned long long>(id));
+  return base + buf;
+}
+
+std::string subgrid_group(std::uint64_t id) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "grid%06llu/",
+                static_cast<unsigned long long>(id));
+  return buf;
+}
+
 void particle_array_to_bytes(const amr::ParticleSet& p, std::size_t idx,
                              std::size_t first, std::size_t count,
                              std::byte* dst) {
   PARAMRIO_REQUIRE(first + count <= p.size(),
                    "particle_array_to_bytes: range out of bounds");
+  if (count == 0) return;  // an empty buffer's data() may be null
   switch (idx) {
     case 0:
       std::memcpy(dst, p.id.data() + first, count * 8);
@@ -69,6 +100,7 @@ void particle_array_from_bytes(amr::ParticleSet& p, std::size_t idx,
                                std::size_t count, const std::byte* src) {
   PARAMRIO_REQUIRE(count <= p.size(),
                    "particle_array_from_bytes: set too small");
+  if (count == 0) return;
   switch (idx) {
     case 0:
       std::memcpy(p.id.data(), src, count * 8);
@@ -101,6 +133,22 @@ std::uint64_t particle_payload_bytes(std::uint64_t n) {
   return total;
 }
 
+SortedParticles sort_particles_for_dump(mpi::Comm& comm,
+                                        const SimulationState& state,
+                                        const char* span) {
+  OBS_SPAN(span, sim::TimeCategory::kComm);
+  SortedParticles out;
+  out.set = amr::parallel_sort_by_id(comm, state.my_particles);
+  std::uint64_t my_count = out.set.size();
+  auto counts_raw = comm.allgatherv(std::as_bytes(std::span(&my_count, 1)));
+  for (int r = 0; r < comm.rank(); ++r) {
+    std::uint64_t c;
+    std::memcpy(&c, counts_raw[static_cast<std::size_t>(r)].data(), 8);
+    out.first += c;
+  }
+  return out;
+}
+
 std::array<int, 3> bounded_proc_grid(const amr::GridDescriptor& g,
                                      int nprocs) {
   std::array<int, 3> pg = amr::make_proc_grid(nprocs);
@@ -131,6 +179,47 @@ amr::GridDescriptor piece_descriptor(const amr::GridDescriptor& g,
     piece.dims[u] = e.count[u];
   }
   return piece;
+}
+
+std::vector<amr::Grid> read_partitioned_subgrids(
+    const mpi::Comm& comm, const DumpMeta& meta,
+    const PieceFieldReader& read_field) {
+  std::vector<amr::Grid> my_pieces;
+  for (const amr::GridDescriptor& g : meta.hierarchy.grids()) {
+    if (g.level == 0) continue;
+    // Small subgrids split across fewer ranks; the rest join each
+    // collective with an empty request.
+    std::array<int, 3> pg = bounded_proc_grid(g, comm.size());
+    if (comm.rank() >= piece_count(pg)) {
+      for (int fi = 0; fi < amr::kNumBaryonFields; ++fi) {
+        read_field(g, fi, nullptr, {});
+      }
+      continue;
+    }
+    amr::Grid piece;
+    piece.desc = piece_descriptor(g, pg, comm.rank());
+    const amr::BlockExtent e = amr::block_of(g.dims, pg, comm.rank());
+    for (int fi = 0; fi < amr::kNumBaryonFields; ++fi) {
+      amr::Array3f blk(e.count[0], e.count[1], e.count[2]);
+      read_field(g, fi, &e, blk.mutable_bytes());
+      piece.fields.push_back(std::move(blk));
+    }
+    my_pieces.push_back(std::move(piece));
+  }
+  return my_pieces;
+}
+
+std::vector<amr::GridDescriptor> assign_restart_owners(const mpi::Comm& comm,
+                                                       amr::Hierarchy& h) {
+  std::vector<amr::GridDescriptor> mine;
+  int i = 0;
+  for (const amr::GridDescriptor& g : h.grids()) {
+    if (g.level == 0) continue;
+    amr::GridDescriptor& owned = h.grid_mut(g.id);
+    owned.owner = i++ % comm.size();
+    if (owned.owner == comm.rank()) mine.push_back(owned);
+  }
+  return mine;
 }
 
 void install_partitioned_hierarchy(mpi::Comm& comm, SimulationState& state,

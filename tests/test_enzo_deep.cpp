@@ -12,8 +12,10 @@
 #include "enzo/dump_common.hpp"
 #include "enzo/dump_inspect.hpp"
 #include "enzo/hierarchy_file.hpp"
+#include "enzo/mpiio_layout.hpp"
 #include "enzo/simulation.hpp"
 #include "pfs/local_fs.hpp"
+#include "query/index.hpp"
 
 namespace paramrio::enzo {
 namespace {
@@ -193,26 +195,36 @@ TEST(DumpInspector, SummarisesAllThreeFormats) {
     Hdf4SerialBackend(fs).write_dump(c, sim.state(), "da");
     MpiIoBackend(fs).write_dump(c, sim.state(), "db");
     Hdf5ParallelBackend(fs).write_dump(c, sim.state(), "dc");
+    PnetcdfBackend(fs).write_dump(c, sim.state(), "dd");
     if (c.rank() != 0) return;
 
     auto a = inspect_dump(fs, "da");
     auto b = inspect_dump(fs, "db");
     auto d = inspect_dump(fs, "dc");
+    auto n = inspect_dump(fs, "dd");
     EXPECT_EQ(a.format, DumpFormat::kHdf4);
     EXPECT_EQ(b.format, DumpFormat::kMpiIo);
     EXPECT_EQ(d.format, DumpFormat::kHdf5);
+    EXPECT_EQ(n.format, DumpFormat::kPnetcdf);
     // Same simulation state: identical logical contents.
     EXPECT_EQ(a.meta.n_particles, b.meta.n_particles);
     EXPECT_EQ(b.meta.n_particles, d.meta.n_particles);
+    EXPECT_EQ(d.meta.n_particles, n.meta.n_particles);
     EXPECT_EQ(a.meta.hierarchy.grid_count(), b.meta.hierarchy.grid_count());
+    EXPECT_EQ(b.meta.hierarchy.grid_count(), n.meta.hierarchy.grid_count());
     EXPECT_EQ(a.datasets, b.datasets);  // same dataset schema
     EXPECT_EQ(b.datasets, d.datasets);
+    EXPECT_EQ(d.datasets, n.datasets);
     // HDF4 splits into one file per subgrid; the others are single files.
     EXPECT_EQ(a.files, a.meta.hierarchy.grid_count());  // topgrid + subgrids
     EXPECT_EQ(b.files, 1u);
     EXPECT_EQ(d.files, 1u);
+    EXPECT_EQ(n.files, 1u);
     // Byte totals agree within format overhead.
     EXPECT_NEAR(static_cast<double>(a.total_bytes),
+                static_cast<double>(b.total_bytes),
+                0.08 * static_cast<double>(b.total_bytes));
+    EXPECT_NEAR(static_cast<double>(n.total_bytes),
                 static_cast<double>(b.total_bytes),
                 0.08 * static_cast<double>(b.total_bytes));
     // The report mentions the essentials.
@@ -252,6 +264,91 @@ TEST(DumpInspector, MissingDumpAndMissingSubgridFileAreErrors) {
   });
 }
 
+// Without particles the four formats store the same datasets (HDF4 and
+// MPI-IO keep zero-length particle arrays, which hold no data), and the
+// inspector counts exactly the extents the query index finds.
+TEST(DumpInspector, ZeroParticleDumpsReportTheSameSchema) {
+  SimulationConfig config;
+  config.root_dims = {16, 16, 16};
+  config.particles_per_cell = 0.0;
+  config.compute_per_cell = 0.0;
+
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  mpi::Runtime rt(rparams(4));
+  rt.run([&](mpi::Comm& c) {
+    EnzoSimulation sim(c, config);
+    sim.initialize_from_universe();
+    Hdf4SerialBackend(fs).write_dump(c, sim.state(), "za");
+    MpiIoBackend(fs).write_dump(c, sim.state(), "zb");
+    Hdf5ParallelBackend(fs).write_dump(c, sim.state(), "zc");
+    PnetcdfBackend(fs).write_dump(c, sim.state(), "zd");
+    if (c.rank() != 0) return;
+    ASSERT_GT(sim.state().hierarchy.grid_count(), 1u);  // subgrids, too
+
+    const std::uint64_t hdf4_datasets = inspect_dump(fs, "za").datasets;
+    for (const char* base : {"za", "zb", "zc", "zd"}) {
+      DumpSummary s = inspect_dump(fs, base);
+      EXPECT_EQ(s.meta.n_particles, 0u) << base;
+      EXPECT_EQ(s.datasets, hdf4_datasets) << base;
+      query::GenerationIndex ix = query::build_index(fs, base, 0);
+      std::uint64_t extents = ix.particles.size();
+      for (const auto& [grid_id, fields] : ix.fields) extents += fields.size();
+      EXPECT_EQ(s.datasets, extents) << base;
+    }
+  });
+}
+
+// The MPI-IO preamble (magic, metadata length) is parsed by the backend's
+// restart and by the extent reader behind the inspector and the query
+// index.  Every flip of it must fail cleanly: a length the file cannot hold
+// is rejected before a buffer is sized from it.
+TEST(DumpInspector, MpiIoPreambleFlipsFailCleanly) {
+  SimulationConfig config;
+  config.root_dims = {8, 8, 8};
+  config.particles_per_cell = 0.25;
+  config.compute_per_cell = 0.0;
+
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  mpi::Runtime rt(rparams(2));
+  rt.run([&](mpi::Comm& c) {
+    EnzoSimulation sim(c, config);
+    sim.initialize_from_universe();
+    MpiIoBackend(fs).write_dump(c, sim.state(), "valid");
+  });
+  std::vector<std::byte> valid(fs.store().size("valid.enzo"));
+  fs.store().read_at("valid.enzo", 0, valid);
+
+  int rejected = 0;
+  for (std::size_t i = 0; i < kMpiioPreambleBytes; ++i) {
+    for (std::byte mask : {std::byte{0xFF}, std::byte{0x80}, std::byte{1}}) {
+      std::vector<std::byte> bad = valid;
+      bad[i] ^= mask;
+      fs.store().create("m.enzo");
+      fs.store().write_at("m.enzo", 0, bad);
+      auto expect_clean = [&](const char* what, auto&& fn) {
+        try {
+          fn();
+        } catch (const Error&) {
+          ++rejected;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << what << ": byte " << i << " mask "
+                        << std::to_integer<int>(mask) << ": " << e.what();
+        }
+      };
+      rt.run([&](mpi::Comm& c) {
+        if (c.rank() == 0) {
+          expect_clean("inspect_dump", [&] { inspect_dump(fs, "m"); });
+          expect_clean("build_index", [&] { query::build_index(fs, "m", 0); });
+        }
+        EnzoSimulation restarted(c, config);
+        expect_clean("read_restart", [&] {
+          MpiIoBackend(fs).read_restart(c, restarted.state(), "m");
+        });
+      });
+    }
+  }
+  EXPECT_GT(rejected, 0);
+}
 
 TEST(HierarchyFile, RenderParseRoundTrip) {
   amr::Hierarchy h;

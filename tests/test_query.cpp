@@ -615,6 +615,47 @@ TEST(QueryCatalog, VersionOneCatalogFilesStillLoad) {
   });
 }
 
+// Catalog blobs come back from disk: every flip of a serialized index must
+// deserialize or raise FormatError.  The generation is a PnetCDF dump, so
+// every flip of its format byte leaves the DumpFormat range.
+TEST(QueryCatalog, EveryByteFlipOfASerializedIndexFailsCleanly) {
+  enzo::SimulationConfig config = workload();
+  config.root_dims = {8, 8, 8};
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  mpi::RuntimeParams rp;
+  rp.nprocs = 2;
+  mpi::Runtime rt(rp);
+  std::vector<std::byte> valid;
+  rt.run([&](mpi::Comm& c) {
+    enzo::EnzoSimulation sim(c, config);
+    sim.initialize_from_universe();
+    enzo::PnetcdfBackend(fs).write_dump(c, sim.state(), "tiny");
+    if (c.rank() == 0) valid = query::build_index(fs, "tiny", 0).serialize();
+  });
+  constexpr std::size_t kFormatByte = 16;  // after magic, version, gen
+  ASSERT_EQ(std::to_integer<int>(valid[kFormatByte]),
+            static_cast<int>(enzo::DumpFormat::kPnetcdf));
+
+  int rejected = 0;
+  for (std::size_t i = 0; i < valid.size(); ++i) {
+    for (std::byte mask : {std::byte{0xFF}, std::byte{0x80}, std::byte{1}}) {
+      std::vector<std::byte> bad = valid;
+      bad[i] ^= mask;
+      try {
+        query::GenerationIndex::deserialize(bad);
+        EXPECT_NE(i, kFormatByte)
+            << "format flip mask " << std::to_integer<int>(mask);
+      } catch (const FormatError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "byte " << i << " mask "
+                      << std::to_integer<int>(mask) << ": " << e.what();
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Commit-marker discipline: only committed generations are served.
 // ---------------------------------------------------------------------------
