@@ -175,24 +175,63 @@ void H5File::scan() {
   if (sr.u32() != kVersion) throw FormatError(path_ + ": bad PH5 version");
   alloc_end_ = sr.u64();
   std::uint64_t pos = sr.u64();  // first record (0 = empty file)
+  // Every count, length and offset below is checked before it sizes an
+  // allocation or a read.  Records are appended at alloc_end_, so each
+  // chain pointer must move forward; a backward one would loop forever.
   while (pos != 0) {
+    if (pos < kSuperblockSize || pos > fsize - kRecordFixedSize) {
+      throw FormatError(path_ + ": PH5 record offset " + std::to_string(pos) +
+                        " outside the file");
+    }
     std::vector<std::byte> fixed(kRecordFixedSize);
     raw_read(pos, fixed);
     ByteReader fr(fixed);
     std::uint32_t kind = fr.u32();
     std::uint32_t hdrlen = fr.u32();
     std::uint64_t next = fr.u64();
+    if (hdrlen > fsize - pos - kRecordFixedSize) {
+      throw FormatError(path_ + ": PH5 record header runs past EOF");
+    }
+    if (next != 0 && next <= pos) {
+      throw FormatError(path_ + ": PH5 record chain does not move forward");
+    }
     std::vector<std::byte> hdr(hdrlen);
     raw_read(pos + kRecordFixedSize, hdr);
     ByteReader r(hdr);
     if (kind == kKindDataset) {
       DatasetInfo info;
       info.name = r.str();
-      info.type = static_cast<NumberType>(r.u8());
+      std::uint8_t type = r.u8();
+      if (type > static_cast<std::uint8_t>(NumberType::kInt64)) {
+        throw FormatError(path_ + ": dataset " + info.name +
+                          " has unknown type " + std::to_string(type));
+      }
+      info.type = static_cast<NumberType>(type);
       std::uint32_t nd = r.u32();
-      for (std::uint32_t d = 0; d < nd; ++d) info.dims.push_back(r.u64());
+      if (nd > r.remaining() / 8) {
+        throw FormatError(path_ + ": dataset " + info.name + " claims " +
+                          std::to_string(nd) + " dims");
+      }
+      std::uint64_t bytes = element_size(info.type);
+      for (std::uint32_t d = 0; d < nd; ++d) {
+        std::uint64_t n = r.u64();
+        if (n != 0 && bytes > UINT64_MAX / n) {
+          throw FormatError(path_ + ": dataset " + info.name +
+                            " size overflows");
+        }
+        bytes *= n;
+        info.dims.push_back(n);
+      }
       info.data_addr = r.u64();
       info.data_bytes = r.u64();
+      // Data that was never written may lie past EOF, but never past the
+      // allocation end.
+      if (info.data_bytes != bytes ||
+          info.data_addr > UINT64_MAX - info.data_bytes ||
+          info.data_addr + info.data_bytes > alloc_end_) {
+        throw FormatError(path_ + ": dataset " + info.name +
+                          " data range is corrupt");
+      }
       index_[info.name] = datasets_.size();
       datasets_.push_back(std::move(info));
     } else if (kind == kKindAttribute) {

@@ -113,6 +113,22 @@ TEST(EdgeUniverse, ParticlesStayInsideTheirRegion) {
   }
 }
 
+TEST(EdgeUniverse, ZeroWidthRegionAxisSamplesTheSlab) {
+  amr::Universe u(5, 6);
+  amr::GridDescriptor region;
+  region.left_edge = {0.25, 0.5, 0.0};
+  region.right_edge = {0.5, 0.5, 1.0};
+  region.dims = {8, 1, 8};
+  amr::ParticleSet p = u.make_particles(300, 0, region, 0.4, Rng(3));
+  ASSERT_EQ(p.size(), 300u);
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    EXPECT_GE(p.pos[0][i], 0.25);
+    EXPECT_LT(p.pos[0][i], 0.5);
+    EXPECT_EQ(p.pos[1][i], 0.5);
+    EXPECT_GE(p.mass[i], 1.0);
+  }
+}
+
 TEST(EdgeFs, ManySmallFilesKeepDistinctContents) {
   pfs::LocalFs fs(pfs::LocalFsParams{});
   sim::Engine::Options o;

@@ -245,6 +245,67 @@ TEST(H5FileSerial, AlignmentPlacesDataOnBoundary) {
   });
 }
 
+// Exhaustive corruption: flip every byte of a tiny file with three masks,
+// then reopen and read everything.  Each mutation must either still read or
+// throw a paramrio::Error — never std::bad_alloc or a hang.
+TEST(H5File, EveryByteFlipFailsCleanly) {
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  Runtime rt(rparams(1));
+  rt.run([&](Comm&) {
+    H5File f = H5File::create(fs, "t.h5");
+    Dataset d = f.create_dataset("d", NumberType::kFloat64, Dataspace({2, 2}));
+    d.write_all(seq_f64(4));
+    d.close();
+    double t = 0.5;
+    f.write_attribute("a", std::as_bytes(std::span(&t, 1)));
+    Dataset e = f.create_dataset("e", NumberType::kInt32, Dataspace({3}));
+    e.close();  // never written: its data lies past EOF
+    f.close();
+  });
+  std::vector<std::byte> valid(fs.store().size("t.h5"));
+  fs.store().read_at("t.h5", 0, valid);
+
+  int rejected = 0;
+  rt.run([&](Comm&) {
+    // The unmutated file opens although e's data lies past EOF.
+    EXPECT_EQ(H5File::open(fs, "t.h5").dataset_names().size(), 2u);
+    for (std::size_t i = 0; i < valid.size(); ++i) {
+      for (std::byte mask : {std::byte{0xFF}, std::byte{0x80}, std::byte{1}}) {
+        std::vector<std::byte> bad = valid;
+        bad[i] ^= mask;
+        fs.store().create("m.h5");
+        fs.store().write_at("m.h5", 0, bad);
+        try {
+          H5File f = H5File::open(fs, "m.h5");
+          f.read_attribute("a");
+          for (const std::string& name : f.dataset_names()) {
+            Dataset d = f.open_dataset(name);
+            std::vector<std::byte> out(d.info().data_bytes);
+            d.read_all(out);  // e throws IoError: its data is past EOF
+          }
+          f.close();
+        } catch (const Error&) {
+          ++rejected;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "byte " << i << " mask "
+                        << std::to_integer<int>(mask) << ": " << e.what();
+        }
+      }
+    }
+    // A chain pointer aimed back at the first record (offset 32) would loop
+    // forever; no single flip above builds one.
+    std::uint64_t second = 0;
+    std::memcpy(&second, valid.data() + 40, 8);
+    std::vector<std::byte> loop = valid;
+    const std::uint64_t first = 32;
+    std::memcpy(loop.data() + second + 8, &first, 8);
+    fs.store().create("m.h5");
+    fs.store().write_at("m.h5", 0, loop);
+    EXPECT_THROW(H5File::open(fs, "m.h5"), FormatError);
+  });
+  EXPECT_GT(rejected, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Parallel driver
 // ---------------------------------------------------------------------------
