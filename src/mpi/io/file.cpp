@@ -26,6 +26,9 @@ std::string hints_key(const Hints& h) {
 File::File(Comm& comm, pfs::FileSystem& fs, std::string path,
            pfs::OpenMode mode, Hints hints)
     : comm_(comm), fs_(fs), path_(std::move(path)), hints_(hints) {
+  // A zero sieve buffer would step sieved reads by zero bytes forever.
+  PARAMRIO_REQUIRE(hints_.ds_buffer_size > 0,
+                   "File(" + path_ + "): Hints::ds_buffer_size must be > 0");
   if (verify::Verifier* v = verify::verifier()) {
     // The open signature every rank must agree on: mode plus the full
     // deterministic hints key.
@@ -319,16 +322,7 @@ bool File::wb_absorb(std::uint64_t offset, std::span<const std::byte> data) {
 
   // Overlap with a pending run would need merge logic; flush instead (rare
   // for the append-style patterns write-behind targets).
-  auto next = wb_runs_.lower_bound(offset);
-  bool overlap = false;
-  if (next != wb_runs_.end() && next->first < offset + data.size()) {
-    overlap = true;
-  }
-  if (next != wb_runs_.begin()) {
-    auto prev = std::prev(next);
-    if (prev->first + prev->second.size() > offset) overlap = true;
-  }
-  if (overlap) flush();
+  if (wb_overlaps(offset, data.size())) flush();
 
   // Coalesce with the run that ends exactly at `offset`.
   auto it = wb_runs_.lower_bound(offset);
@@ -346,6 +340,14 @@ bool File::wb_absorb(std::uint64_t offset, std::span<const std::byte> data) {
   comm_.charge_memcpy(data.size());
   wb_bytes_ += data.size();
   return true;
+}
+
+bool File::wb_overlaps(std::uint64_t offset, std::uint64_t len) const {
+  auto next = wb_runs_.lower_bound(offset);
+  if (next != wb_runs_.end() && next->first < offset + len) return true;
+  if (next == wb_runs_.begin()) return false;
+  auto prev = std::prev(next);
+  return prev->first + prev->second.size() > offset;
 }
 
 std::vector<Segment> File::map_view(std::uint64_t offset, std::uint64_t len) {
@@ -420,6 +422,13 @@ void File::write_at(std::uint64_t offset, std::span<const std::byte> buf) {
   if (segs.size() == 1 && wb_absorb(segs[0].offset, buf)) {
     stats_.wb_absorbed += 1;
     return;
+  }
+  // The write bypasses the buffer: a pending run it overlaps must land
+  // first, or the later flush would put the older bytes back on top.
+  if (std::any_of(segs.begin(), segs.end(), [&](const Segment& sg) {
+        return wb_overlaps(sg.offset, sg.length);
+      })) {
+    flush();
   }
   independent_write(segs, buf);
 }
@@ -563,33 +572,48 @@ void File::independent_write(const std::vector<Segment>& segs,
 }
 
 void File::read_at_all(std::uint64_t offset, std::span<std::byte> buf) {
-  check_open("read_at_all");
-  PARAMRIO_REQUIRE(!split_active_,
-                   "read_at_all: split collective still active");
-  note_collective("read_at_all", buf.size());
   OBS_SPAN("mpiio.read_all", sim::TimeCategory::kIo);
-  obs::span_counter("bytes", buf.size());
-  flush();
-  stats_.collective_ops += 1;
-  two_phase(/*is_write=*/false, map_view(offset, buf.size()), buf, {});
-  drain_collective();
+  collective("read_at_all", /*is_write=*/false, /*split=*/false, offset, buf,
+             {});
 }
 
 void File::write_at_all(std::uint64_t offset,
                         std::span<const std::byte> buf) {
-  check_open("write_at_all");
-  PARAMRIO_REQUIRE(!split_active_,
-                   "write_at_all: split collective still active");
-  note_collective("write_at_all", buf.size());
   OBS_SPAN("mpiio.write_all", sim::TimeCategory::kIo);
-  obs::span_counter("bytes", buf.size());
+  collective("write_at_all", /*is_write=*/true, /*split=*/false, offset, {},
+             buf);
+}
+
+void File::collective(const char* op, bool is_write, bool split,
+                      std::uint64_t offset, std::span<std::byte> rbuf,
+                      std::span<const std::byte> wbuf) {
+  const std::uint64_t bytes = rbuf.size() + wbuf.size();  // one is empty
+  check_open(op);
+  PARAMRIO_REQUIRE(!split_active_,
+                   std::string(op) + ": split collective already active");
+  note_collective(op, bytes);
+  obs::span_counter("bytes", bytes);
   flush();
   // Aggregators rewrite arbitrary ranks' ranges; a rank cannot tell which of
   // its prefetched ranges another rank's write covers, so drop them all.
-  drop_prefetch();
+  if (is_write) drop_prefetch();
   stats_.collective_ops += 1;
-  two_phase(/*is_write=*/true, map_view(offset, buf.size()), {}, buf);
+  two_phase(is_write, map_view(offset, bytes), rbuf, wbuf);
+  if (split) {
+    split_active_ = true;
+  } else {
+    drain_collective();
+  }
+}
+
+void File::end_split(const char* op) {
+  check_open(op);
+  PARAMRIO_REQUIRE(split_active_,
+                   std::string(op) + ": no split collective active");
+  note_collective(op, 0);
   drain_collective();
+  split_active_ = false;
+  stats_.split_collectives += 1;
 }
 
 // ---- overlapped I/O (Hints::overlap) --------------------------------------
@@ -649,72 +673,68 @@ void File::drop_prefetch() {
   prefetched_.clear();
 }
 
-Request File::iread_at(std::uint64_t offset, std::span<std::byte> buf) {
-  check_open("iread_at");
-  Request req;
-  if (buf.empty()) return req;
-  if (!overlap_enabled()) {
-    read_at(offset, buf);
-    return req;  // completed synchronously; inactive
-  }
-  flush();  // reads must observe this rank's buffered writes
-  stats_.independent_ops += 1;
-  auto segs = map_view(offset, buf.size());
-  invalidate_prefetch(segs);
+double File::issue_deferred(
+    double* issued, const std::function<double(DeferredScope&)>& body) {
   sim::Proc& proc = sim::current_proc();
-  req.issued_ = proc.now();
-  {
-    DeferredScope defer(proc);
-    OBS_SPAN("mpiio.iread", sim::TimeCategory::kIo);
-    obs::span_counter("bytes", buf.size());
-    independent_read(segs, buf);
-    req.completion_ = defer.end();
+  *issued = proc.now();
+  DeferredScope defer(proc);
+  const double completion = body(defer);
+  if (verify::Verifier* v = verify::verifier()) {
+    v->on_file_deferred_issue(path_, comm_.rank(), *issued, completion);
   }
+  return completion;
+}
+
+Request File::issue_request(
+    std::uint64_t offset, std::uint64_t len,
+    const std::function<double(DeferredScope&, const std::vector<Segment>&)>&
+        io) {
+  flush();  // keep file order with this rank's buffered writes
+  stats_.independent_ops += 1;
+  const auto segs = map_view(offset, len);
+  invalidate_prefetch(segs);
+  Request req;
+  req.completion_ = issue_deferred(
+      &req.issued_, [&](DeferredScope& defer) { return io(defer, segs); });
   req.active_ = true;
   pending_requests_ += 1;
-  obs::gauge_int("rank" + std::to_string(proc.global_rank()) +
+  obs::gauge_int("rank" + std::to_string(sim::current_proc().global_rank()) +
                      "/mpiio_outstanding",
                  pending_requests_);
   inflight_horizon_ = std::max(inflight_horizon_, req.completion_);
-  if (verify::Verifier* v = verify::verifier()) {
-    v->on_file_deferred_issue(path_, comm_.rank(), req.issued_,
-                              req.completion_);
-  }
   return req;
+}
+
+Request File::iread_at(std::uint64_t offset, std::span<std::byte> buf) {
+  check_open("iread_at");
+  if (buf.empty()) return {};
+  if (!overlap_enabled()) {
+    read_at(offset, buf);
+    return {};  // completed synchronously; inactive
+  }
+  return issue_request(offset, buf.size(),
+                       [&](DeferredScope& defer, const auto& segs) {
+                         OBS_SPAN("mpiio.iread", sim::TimeCategory::kIo);
+                         obs::span_counter("bytes", buf.size());
+                         independent_read(segs, buf);
+                         return defer.end();
+                       });
 }
 
 Request File::iwrite_at(std::uint64_t offset, std::span<const std::byte> buf) {
   check_open("iwrite_at");
-  Request req;
-  if (buf.empty()) return req;
+  if (buf.empty()) return {};
   if (!overlap_enabled()) {
     write_at(offset, buf);
-    return req;  // completed synchronously; inactive
+    return {};  // completed synchronously; inactive
   }
-  flush();  // keep file-order with earlier buffered writes
-  stats_.independent_ops += 1;
-  auto segs = map_view(offset, buf.size());
-  invalidate_prefetch(segs);
-  sim::Proc& proc = sim::current_proc();
-  req.issued_ = proc.now();
-  {
-    DeferredScope defer(proc);
-    OBS_SPAN("mpiio.iwrite", sim::TimeCategory::kIo);
-    obs::span_counter("bytes", buf.size());
-    independent_write(segs, buf);
-    req.completion_ = defer.end();
-  }
-  req.active_ = true;
-  pending_requests_ += 1;
-  obs::gauge_int("rank" + std::to_string(proc.global_rank()) +
-                     "/mpiio_outstanding",
-                 pending_requests_);
-  inflight_horizon_ = std::max(inflight_horizon_, req.completion_);
-  if (verify::Verifier* v = verify::verifier()) {
-    v->on_file_deferred_issue(path_, comm_.rank(), req.issued_,
-                              req.completion_);
-  }
-  return req;
+  return issue_request(offset, buf.size(),
+                       [&](DeferredScope& defer, const auto& segs) {
+                         OBS_SPAN("mpiio.iwrite", sim::TimeCategory::kIo);
+                         obs::span_counter("bytes", buf.size());
+                         independent_write(segs, buf);
+                         return defer.end();
+                       });
 }
 
 void File::wait(Request& req) {
@@ -735,53 +755,26 @@ void File::wait_all(std::span<Request> reqs) {
 }
 
 void File::read_at_all_begin(std::uint64_t offset, std::span<std::byte> buf) {
-  check_open("read_at_all_begin");
-  PARAMRIO_REQUIRE(!split_active_,
-                   "read_at_all_begin: split collective already active");
-  note_collective("read_at_all_begin", buf.size());
   OBS_SPAN("mpiio.read_all_begin", sim::TimeCategory::kIo);
-  obs::span_counter("bytes", buf.size());
-  flush();
-  stats_.collective_ops += 1;
-  two_phase(/*is_write=*/false, map_view(offset, buf.size()), buf, {});
-  split_active_ = true;
+  collective("read_at_all_begin", /*is_write=*/false, /*split=*/true, offset,
+             buf, {});
 }
 
 void File::read_at_all_end() {
-  check_open("read_at_all_end");
-  PARAMRIO_REQUIRE(split_active_,
-                   "read_at_all_end: no split collective active");
-  note_collective("read_at_all_end", 0);
   OBS_SPAN("mpiio.read_all_end", sim::TimeCategory::kIo);
-  drain_collective();
-  split_active_ = false;
-  stats_.split_collectives += 1;
+  end_split("read_at_all_end");
 }
 
 void File::write_at_all_begin(std::uint64_t offset,
                               std::span<const std::byte> buf) {
-  check_open("write_at_all_begin");
-  PARAMRIO_REQUIRE(!split_active_,
-                   "write_at_all_begin: split collective already active");
-  note_collective("write_at_all_begin", buf.size());
   OBS_SPAN("mpiio.write_all_begin", sim::TimeCategory::kIo);
-  obs::span_counter("bytes", buf.size());
-  flush();
-  drop_prefetch();
-  stats_.collective_ops += 1;
-  two_phase(/*is_write=*/true, map_view(offset, buf.size()), {}, buf);
-  split_active_ = true;
+  collective("write_at_all_begin", /*is_write=*/true, /*split=*/true, offset,
+             {}, buf);
 }
 
 void File::write_at_all_end() {
-  check_open("write_at_all_end");
-  PARAMRIO_REQUIRE(split_active_,
-                   "write_at_all_end: no split collective active");
-  note_collective("write_at_all_end", 0);
   OBS_SPAN("mpiio.write_all_end", sim::TimeCategory::kIo);
-  drain_collective();
-  split_active_ = false;
-  stats_.split_collectives += 1;
+  end_split("write_at_all_end");
 }
 
 void File::prefetch(std::uint64_t offset, std::uint64_t len) {
@@ -796,22 +789,15 @@ void File::prefetch(std::uint64_t offset, std::uint64_t len) {
     if (e.segs == segs) return;  // identical range already in flight
   }
   PrefetchEntry entry;
-  entry.segs = segs;
+  entry.segs = std::move(segs);
   entry.data.resize(len);
-  sim::Proc& proc = sim::current_proc();
-  entry.issued = proc.now();
-  {
-    DeferredScope defer(proc);
+  entry.completion = issue_deferred(&entry.issued, [&](DeferredScope& defer) {
     OBS_SPAN("mpiio.prefetch", sim::TimeCategory::kIo);
     obs::span_counter("bytes", len);
-    independent_read(segs, std::span<std::byte>(entry.data));
-    entry.completion = defer.end();
-  }
+    independent_read(entry.segs, std::span<std::byte>(entry.data));
+    return defer.end();
+  });
   inflight_horizon_ = std::max(inflight_horizon_, entry.completion);
-  if (verify::Verifier* v = verify::verifier()) {
-    v->on_file_deferred_issue(path_, comm_.rank(), entry.issued,
-                              entry.completion);
-  }
   prefetched_.push_back(std::move(entry));
 }
 

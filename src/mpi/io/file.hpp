@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <span>
@@ -31,6 +32,8 @@
 #include "pfs/filesystem.hpp"
 
 namespace paramrio::mpi::io {
+
+class DeferredScope;
 
 struct Hints {
   /// cb_align == kCbAlignAuto: query the file system's Layout and align
@@ -263,9 +266,33 @@ class File {
   void independent_write(const std::vector<Segment>& segs,
                          std::span<const std::byte> buf);
 
+  /// Shared body of the blocking and split-begin collectives, run inside
+  /// the entry point's span: `split` leaves the last window in flight for
+  /// the matching end call, otherwise it is drained before returning.
+  void collective(const char* op, bool is_write, bool split,
+                  std::uint64_t offset, std::span<std::byte> rbuf,
+                  std::span<const std::byte> wbuf);
+  /// Shared body of the split-collective end calls.
+  void end_split(const char* op);
+
   /// The two-phase engine; handles both directions.
   void two_phase(bool is_write, const std::vector<Segment>& segs,
                  std::span<std::byte> rbuf, std::span<const std::byte> wbuf);
+
+  /// Run `body` as in-flight work on the deferred (shadow) clock: stores the
+  /// issue time in `*issued`, reports the operation to the verifier and
+  /// returns its completion.  `body` ends the scope itself (`return
+  /// defer.end();`) inside any span it opens, so that span closes on the
+  /// real clock like every other in-flight span.
+  double issue_deferred(double* issued,
+                        const std::function<double(DeferredScope&)>& body);
+
+  /// Shared tail of iread_at/iwrite_at: flush, map the range, issue `io`
+  /// deferred and track the returned active request.
+  Request issue_request(
+      std::uint64_t offset, std::uint64_t len,
+      const std::function<double(DeferredScope&, const std::vector<Segment>&)>&
+          io);
 
   /// All fs data access goes through these: they resume short transfers
   /// (ROMIO's POSIX-style write loop, always on), verify the landed prefix
@@ -282,6 +309,9 @@ class File {
   /// Try to absorb an absolute-offset write run into the write-behind
   /// buffer; returns false when buffering is off or the run cannot fit.
   bool wb_absorb(std::uint64_t offset, std::span<const std::byte> data);
+
+  /// True when a pending write-behind run intersects [offset, offset+len).
+  bool wb_overlaps(std::uint64_t offset, std::uint64_t len) const;
 
   /// True when deferred (in-flight) execution is available and requested.
   bool overlap_enabled() const;

@@ -18,6 +18,15 @@
 //
 // Both sides of every exchange (aggregators packing, requesters matching)
 // derive identical window ranges from the shared DomainGeometry.
+//
+// After phase 0 (every rank allgathers every rank's flattened segments) one
+// window loop serves both directions and both Hints::overlap settings.  A
+// read loads an aggregator window (union runs, clamped at EOF), then packs
+// and ships each rank's pieces; a write ships the pieces to the aggregator,
+// which writes the union runs.  Synchronous windows do their file I/O
+// inline.  Pipelined windows run it deferred on the shadow clock: a read
+// loads window t+1 ahead while window t ships, and a write leaves window
+// t's device time in flight while window t+1's pieces arrive.
 #include <algorithm>
 #include <cstring>
 
@@ -93,10 +102,16 @@ std::vector<Segment> parse_segments(const Bytes& b) {
   return segs;
 }
 
-/// Merge overlapping/adjacent [off, off+len) intervals of sorted pieces.
-std::vector<Segment> union_runs(const std::vector<Piece>& pieces) {
+/// The union runs of every rank's pieces in one window: the pieces merged in
+/// file order, overlapping or adjacent intervals coalesced.
+std::vector<Segment> union_runs(const std::vector<std::vector<Piece>>& want) {
+  std::vector<Piece> all;
+  for (const auto& w : want) all.insert(all.end(), w.begin(), w.end());
+  std::sort(all.begin(), all.end(), [](const Piece& a, const Piece& b) {
+    return a.file_off < b.file_off;
+  });
   std::vector<Segment> runs;
-  for (const Piece& p : pieces) {
+  for (const Piece& p : all) {
     if (!runs.empty() &&
         p.file_off <= runs.back().offset + runs.back().length) {
       std::uint64_t end = std::max(runs.back().offset + runs.back().length,
@@ -107,6 +122,22 @@ std::vector<Segment> union_runs(const std::vector<Piece>& pieces) {
     }
   }
   return runs;
+}
+
+/// True when some two ranks' request hulls overlap; otherwise collective
+/// buffering buys nothing.
+bool hulls_interleave(const std::vector<std::vector<Piece>>& pieces) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> hulls;
+  for (const auto& pl : pieces) {
+    if (pl.empty()) continue;
+    hulls.emplace_back(pl.front().file_off,
+                       pl.back().file_off + pl.back().len);
+  }
+  std::sort(hulls.begin(), hulls.end());
+  for (std::size_t i = 0; i + 1 < hulls.size(); ++i) {
+    if (hulls[i].second > hulls[i + 1].first) return true;
+  }
+  return false;
 }
 
 /// One contiguous file range of an aggregator's window, plus where its first
@@ -167,6 +198,16 @@ struct DomainGeometry {
     for (const WindowRange& r : ranges) n += r.hi - r.lo;
     return n;
   }
+};
+
+/// One aggregator window: its file ranges, every rank's pieces in it, and
+/// (pipelined) its file I/O in flight (completion < 0: none).
+struct Window {
+  std::vector<WindowRange> ranges;
+  std::vector<std::vector<Piece>> want;  ///< per rank, in file order
+  std::uint64_t total = 0;               ///< bytes over all ranks
+  double issued = 0.0;
+  double completion = -1.0;
 };
 
 DomainGeometry make_geometry(std::uint64_t st, std::uint64_t end,
@@ -248,62 +289,31 @@ void File::two_phase(bool is_write, const std::vector<Segment>& segs,
     return;
   }
 
-  // ---- graceful degradation: I/O-server outage -------------------------
-  // With retrying enabled and a fault layer attached, ask it whether an I/O
-  // server is down right now.  Funnelling the whole window through one
-  // aggregator would hammer the dead server with every rank's data and burn
-  // the aggregator's retry budget for all of them; independent access lets
-  // each rank retry only what it owns.  Per-rank virtual clocks disagree, so
-  // the decision is made collective with an allreduce — every rank takes
-  // the same branch.
-  if (hints_.retry.enabled() && fs_.fault_hook() != nullptr) {
-    std::uint64_t down =
-        fs_.fault_hook()->degraded(sim::current_proc().now()) ? 1 : 0;
-    down = comm_.allreduce_max(down);
-    if (down != 0) {
-      stats_.collective_fallbacks += 1;
-      if (!segs.empty()) {
-        if (is_write) {
-          independent_write(segs, wbuf);
-        } else {
-          independent_read(segs, rbuf);
-        }
-      }
-      comm_.barrier();
-      return;
-    }
-  }
-
-  // ---- fast path: non-interleaved requests ----------------------------
-  // If per-rank hulls don't interleave, collective buffering buys nothing;
+  // ---- fallback: independent access, then a barrier --------------------
+  // Two cases.  An I/O-server outage (retrying enabled, fault layer
+  // attached): funnelling the whole window through one aggregator would
+  // hammer the dead server with every rank's data and burn the aggregator's
+  // retry budget for all of them, while independent access lets each rank
+  // retry only what it owns.  Per-rank virtual clocks disagree, so the
+  // decision is made collective with an allreduce.  Otherwise, per-rank
+  // hulls that do not interleave: collective buffering buys nothing, and
   // ROMIO falls back to independent access.
-  {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> hulls;
-    for (const auto& pl : pieces) {
-      if (pl.empty()) continue;
-      hulls.emplace_back(pl.front().file_off,
-                         pl.back().file_off + pl.back().len);
-    }
-    std::sort(hulls.begin(), hulls.end());
-    bool interleaved = false;
-    for (std::size_t i = 0; i + 1 < hulls.size(); ++i) {
-      if (hulls[i].second > hulls[i + 1].first) {
-        interleaved = true;
-        break;
+  bool outage = false;
+  if (hints_.retry.enabled() && fs_.fault_hook() != nullptr) {
+    const bool down = fs_.fault_hook()->degraded(sim::current_proc().now());
+    outage = comm_.allreduce_max(std::uint64_t{down ? 1u : 0u}) != 0;
+  }
+  if (outage || !hulls_interleave(pieces)) {
+    (outage ? stats_.collective_fallbacks : stats_.collective_fastpath) += 1;
+    if (!segs.empty()) {
+      if (is_write) {
+        independent_write(segs, wbuf);
+      } else {
+        independent_read(segs, rbuf);
       }
     }
-    if (!interleaved) {
-      stats_.collective_fastpath += 1;
-      if (!segs.empty()) {
-        if (is_write) {
-          independent_write(segs, wbuf);
-        } else {
-          independent_read(segs, rbuf);
-        }
-      }
-      comm_.barrier();
-      return;
-    }
+    comm_.barrier();
+    return;
   }
 
   // ---- domain assignment ----------------------------------------------
@@ -356,354 +366,193 @@ void File::two_phase(bool is_write, const std::vector<Segment>& segs,
     return std::uint64_t{0};
   };
 
+  // Message halves of the exchange: pack the pieces `cl` (their bytes at
+  // `at(piece)`) into one message, or unpack one into them.
+  auto ship = [&](int dest, const std::vector<Piece>& cl, auto&& at) {
+    Bytes out(total_len(cl));
+    std::uint64_t pos = 0;
+    for (const Piece& q : cl) {
+      std::memcpy(out.data() + pos, at(q), q.len);
+      pos += q.len;
+    }
+    comm_.charge_memcpy(out.size());
+    obs::span_counter("bytes", out.size());
+    comm_.send(dest, tag, out);
+  };
+  auto land = [&](int src, const std::vector<Piece>& cl, auto&& at) {
+    Bytes in = comm_.recv(src, tag);
+    obs::span_counter("bytes", in.size());
+    PARAMRIO_REQUIRE(in.size() == total_len(cl),
+                     "two-phase: piece size mismatch");
+    std::uint64_t pos = 0;
+    for (const Piece& q : cl) {
+      std::memcpy(at(q), in.data() + pos, q.len);
+      pos += q.len;
+    }
+    comm_.charge_memcpy(in.size());
+  };
+  // Requester side of window t: `fn(a, cl)` for every aggregator `a` whose
+  // window holds some of this rank's pieces `cl`.
+  std::vector<WindowRange> peer;
+  auto each_aggregator = [&](std::uint64_t t, auto&& fn) {
+    OBS_SPAN("two_phase.comm", sim::TimeCategory::kComm);
+    for (int a = 0; a < geom.naggr; ++a) {
+      geom.window_ranges(a, t, peer);
+      if (peer.empty()) continue;
+      auto cl = clip_ranges(mine, peer);
+      if (!cl.empty()) fn(a, cl);
+    }
+  };
+
   // The collective buffer: aggregators only, sized per iteration to the
   // window's actual data hull (never the full cb_buffer_size for small
   // requests).  Pipelined collectives double-buffer it by window parity.
-  std::vector<std::byte> window;
-  std::vector<std::byte> window2;   ///< parity partner (pipelined only)
-  std::vector<WindowRange> ranges;  ///< this rank's windows (aggregator)
-  std::vector<WindowRange> peer;    ///< scratch: each aggregator's windows
-
   const bool pipelined = overlap_enabled();
+  std::vector<std::byte> window, window2;
   auto winbuf = [&](std::uint64_t t) -> std::vector<std::byte>& {
     return (pipelined && (t & 1) != 0) ? window2 : window;
   };
-  // In-flight aggregator window write (pipelined writes; at most one).
-  double pend_issue = 0.0;
-  double pend_completion = -1.0;
-
-  if (!is_write && pipelined) {
-    // ---- pipelined READ ------------------------------------------------
-    // Double-buffered windows: the deferred read of window t+1 is issued
-    // before window t's pieces are distributed, so the distribution comm
-    // overlaps the next window's file I/O.  Requester side is identical to
-    // the synchronous path.
-    std::vector<WindowRange> cur, nxt;
-    std::vector<std::vector<Piece>> cur_want, nxt_want;
-    std::uint64_t cur_total = 0, nxt_total = 0;
-    double rp_issue = 0.0, rp_completion = -1.0;
-
-    auto compute = [&](std::uint64_t t, std::vector<WindowRange>& rg,
-                       std::vector<std::vector<Piece>>& want,
-                       std::uint64_t* total) {
-      geom.window_ranges(comm_.rank(), t, rg);
-      want.assign(static_cast<std::size_t>(p), {});
-      *total = 0;
-      for (int r = 0; r < p; ++r) {
-        want[static_cast<std::size_t>(r)] =
-            clip_ranges(pieces[static_cast<std::size_t>(r)], rg);
-        *total += total_len(want[static_cast<std::size_t>(r)]);
+  auto size_window = [&](std::uint64_t t, const Window& w) {
+    const std::uint64_t wbytes = geom.extent(w.ranges);
+    winbuf(t).resize(wbytes);
+    stats_.cb_peak_window_bytes =
+        std::max(stats_.cb_peak_window_bytes, wbytes);
+    obs::counter_sample("cb_window_bytes", static_cast<double>(wbytes));
+  };
+  // This aggregator's window t and every rank's pieces in it.
+  auto plan_window = [&](std::uint64_t t, Window& w) {
+    geom.window_ranges(comm_.rank(), t, w.ranges);
+    w.want.assign(static_cast<std::size_t>(p), {});
+    w.total = 0;
+    for (int r = 0; r < p; ++r) {
+      auto& cl = w.want[static_cast<std::size_t>(r)];
+      cl = clip_ranges(pieces[static_cast<std::size_t>(r)], w.ranges);
+      w.total += total_len(cl);
+    }
+  };
+  // The aggregator's file I/O for one window, over each union run of wanted
+  // bytes (interior holes are never touched): inline when synchronous, left
+  // in flight on the deferred clock when pipelined.
+  auto window_io = [&](Window& w, const std::vector<std::byte>& win,
+                       auto&& io_run) {
+    auto io = [&] {
+      obs::span_counter("window_bytes", win.size());
+      for (const Segment& run : union_runs(w.want)) {
+        io_run(run, win_index(w.ranges, run.offset));
       }
     };
-
-    auto issue_read = [&](std::uint64_t t,
-                          const std::vector<WindowRange>& rg,
-                          const std::vector<std::vector<Piece>>& want) {
-      std::vector<std::byte>& win = winbuf(t);
-      stats_.two_phase_windows += 1;
-      stats_.overlap_windows += 1;
-      classify_window(rg);
-      const std::uint64_t wbytes = geom.extent(rg);
-      win.resize(wbytes);
-      stats_.cb_peak_window_bytes =
-          std::max(stats_.cb_peak_window_bytes, wbytes);
-      obs::counter_sample("cb_window_bytes", static_cast<double>(wbytes));
-      std::vector<Piece> all;
-      for (const auto& w : want) all.insert(all.end(), w.begin(), w.end());
-      std::sort(all.begin(), all.end(), [](const Piece& a, const Piece& b) {
-        return a.file_off < b.file_off;
-      });
-      const std::uint64_t fsize = fs_.size(fd_);
-      sim::Proc& proc = sim::current_proc();
-      rp_issue = proc.now();
-      DeferredScope defer(proc);
+    if (!pipelined) {
       OBS_SPAN("two_phase.io", sim::TimeCategory::kIo);
-      obs::span_counter("window_bytes", wbytes);
-      for (const Segment& run : union_runs(all)) {
-        const std::uint64_t idx = win_index(rg, run.offset);
-        const std::uint64_t run_end = run.offset + run.length;
-        const std::uint64_t readable_end =
-            std::min(run_end, std::max(fsize, run.offset));
-        if (readable_end > run.offset) {
-          fs_read(run.offset,
-                  std::span<std::byte>(win.data() + idx,
-                                       readable_end - run.offset));
-        }
-        if (readable_end < run_end) {
-          std::fill_n(win.begin() + static_cast<std::ptrdiff_t>(
-                                        idx + (readable_end - run.offset)),
-                      run_end - readable_end, std::byte{0});
-        }
-      }
-      rp_completion = defer.end();
-      if (verify::Verifier* v = verify::verifier()) {
-        v->on_file_deferred_issue(path_, comm_.rank(), rp_issue,
-                                  rp_completion);
-      }
-    };
+      io();
+      return;
+    }
+    stats_.overlap_windows += 1;
+    w.completion = issue_deferred(&w.issued, [&](DeferredScope& defer) {
+      OBS_SPAN("two_phase.io", sim::TimeCategory::kIo);
+      io();
+      return defer.end();
+    });
+  };
+  auto settle = [&](Window& w) {
+    if (w.completion < 0.0) return;
+    settle_deferred(w.issued, w.completion);
+    w.completion = -1.0;
+  };
 
-    if (i_aggregate && geom.ntimes > 0) {
-      compute(0, cur, cur_want, &cur_total);
-      if (cur_total > 0) issue_read(0, cur, cur_want);
-    }
-    for (std::uint64_t t = 0; t < geom.ntimes; ++t) {
-      const double window_start =
-          obs::detail() ? sim::current_proc().now() : 0.0;
-      if (i_aggregate) {
-        if (cur_total > 0) {
-          // Window t's bytes must be on the client before they ship.
-          settle_deferred(rp_issue, rp_completion);
-          rp_completion = -1.0;
-        }
-        if (t + 1 < geom.ntimes) {
-          compute(t + 1, nxt, nxt_want, &nxt_total);
-          if (nxt_total > 0) issue_read(t + 1, nxt, nxt_want);
-        }
-        if (cur_total > 0) {
-          const std::vector<std::byte>& win = winbuf(t);
-          OBS_SPAN("two_phase.comm", sim::TimeCategory::kComm);
-          for (int r = 0; r < p; ++r) {
-            const auto& cl = cur_want[static_cast<std::size_t>(r)];
-            if (cl.empty()) continue;
-            Bytes out(total_len(cl));
-            std::uint64_t pos = 0;
-            for (const Piece& q : cl) {
-              std::memcpy(out.data() + pos,
-                          win.data() + win_index(cur, q.file_off), q.len);
-              pos += q.len;
-            }
-            comm_.charge_memcpy(out.size());
-            obs::span_counter("bytes", out.size());
-            comm_.send(r, tag, out);
-          }
-        }
-        cur.swap(nxt);
-        cur_want.swap(nxt_want);
-        cur_total = (t + 1 < geom.ntimes) ? nxt_total : 0;
+  // `cur` is the window being shipped (reads) or whose write is in flight
+  // (pipelined writes); `nxt` the window being loaded ahead (pipelined
+  // reads) or assembled (writes).  A read loads window t (synchronous) or
+  // issues window t+1's load before shipping window t (pipelined), so the
+  // shipping overlaps the next window's file I/O.  Each load clamps at EOF
+  // with a zero-fill tail: a restart may legitimately ask past the end of a
+  // short dump, where MPI-IO returns zeros rather than faulting.
+  Window cur, nxt;
+  auto load = [&](std::uint64_t t, Window& w) {
+    plan_window(t, w);
+    if (w.total == 0) return;
+    stats_.two_phase_windows += 1;
+    classify_window(w.ranges);
+    size_window(t, w);
+    std::vector<std::byte>& win = winbuf(t);
+    const std::uint64_t fsize = fs_.size(fd_);
+    window_io(w, win, [&](const Segment& run, std::uint64_t idx) {
+      const std::uint64_t run_end = run.offset + run.length;
+      const std::uint64_t readable_end =
+          std::min(run_end, std::max(fsize, run.offset));
+      if (readable_end > run.offset) {
+        fs_read(run.offset, std::span<std::byte>(win.data() + idx,
+                                                 readable_end - run.offset));
       }
-      // -- requester side: receive from every aggregator that holds a piece
-      OBS_SPAN("two_phase.comm", sim::TimeCategory::kComm);
-      for (int a = 0; a < geom.naggr; ++a) {
-        geom.window_ranges(a, t, peer);
-        if (peer.empty()) continue;
-        auto cl = clip_ranges(mine, peer);
-        if (cl.empty()) continue;
-        Bytes in = comm_.recv(a, tag);
-        obs::span_counter("bytes", in.size());
-        PARAMRIO_REQUIRE(in.size() == total_len(cl),
-                         "two-phase read: piece size mismatch");
-        std::uint64_t pos = 0;
-        for (const Piece& q : cl) {
-          std::memcpy(rbuf.data() + q.buf_off, in.data() + pos, q.len);
-          pos += q.len;
-        }
-        comm_.charge_memcpy(in.size());
-      }
-      if (obs::detail()) {
-        obs::latency_sample("two_phase.window",
-                            sim::current_proc().now() - window_start);
-      }
-    }
-    return;
-  }
+      std::fill_n(win.begin() + static_cast<std::ptrdiff_t>(
+                                    idx + (readable_end - run.offset)),
+                  run_end - readable_end, std::byte{0});
+    });
+  };
+  if (!is_write && pipelined && i_aggregate && geom.ntimes > 0) load(0, cur);
 
   for (std::uint64_t t = 0; t < geom.ntimes; ++t) {
     const double window_start =
         obs::detail() ? sim::current_proc().now() : 0.0;
     if (!is_write) {
-      // ---- READ: aggregator reads its window, distributes pieces -------
       if (i_aggregate) {
-        geom.window_ranges(comm_.rank(), t, ranges);
-        std::vector<std::vector<Piece>> want(static_cast<std::size_t>(p));
-        std::uint64_t want_total = 0;
-        for (int r = 0; r < p; ++r) {
-          want[static_cast<std::size_t>(r)] =
-              clip_ranges(pieces[static_cast<std::size_t>(r)], ranges);
-          want_total += total_len(want[static_cast<std::size_t>(r)]);
+        if (pipelined) {
+          settle(cur);  // window t's bytes must be here before they ship
+          if (t + 1 < geom.ntimes) load(t + 1, nxt);
+        } else {
+          load(t, cur);
         }
-        if (want_total > 0) {
-          stats_.two_phase_windows += 1;
-          classify_window(ranges);
-          const std::uint64_t wbytes = geom.extent(ranges);
-          window.resize(wbytes);
-          stats_.cb_peak_window_bytes =
-              std::max(stats_.cb_peak_window_bytes, wbytes);
-          obs::counter_sample("cb_window_bytes",
-                              static_cast<double>(wbytes));
-          {
-            OBS_SPAN("two_phase.io", sim::TimeCategory::kIo);
-            obs::span_counter("window_bytes", wbytes);
-            // Read each union run of wanted bytes — not the whole hull, so
-            // interior holes are never touched — clamped at EOF with a
-            // zero-fill tail (a restart may legitimately ask past the end
-            // of a short dump; MPI-IO returns zeros there, it must not
-            // fault).
-            std::vector<Piece> all;
-            for (const auto& w : want) {
-              all.insert(all.end(), w.begin(), w.end());
-            }
-            std::sort(all.begin(), all.end(),
-                      [](const Piece& a, const Piece& b) {
-                        return a.file_off < b.file_off;
-                      });
-            const std::uint64_t fsize = fs_.size(fd_);
-            for (const Segment& run : union_runs(all)) {
-              const std::uint64_t idx = win_index(ranges, run.offset);
-              const std::uint64_t run_end = run.offset + run.length;
-              const std::uint64_t readable_end =
-                  std::min(run_end, std::max(fsize, run.offset));
-              if (readable_end > run.offset) {
-                fs_read(run.offset,
-                        std::span<std::byte>(window.data() + idx,
-                                             readable_end - run.offset));
-              }
-              if (readable_end < run_end) {
-                std::fill_n(window.begin() +
-                                static_cast<std::ptrdiff_t>(
-                                    idx + (readable_end - run.offset)),
-                            run_end - readable_end, std::byte{0});
-              }
-            }
-          }
-          // Pack and ship each rank's share.
+        if (cur.total > 0) {
+          const std::vector<std::byte>& win = winbuf(t);
           OBS_SPAN("two_phase.comm", sim::TimeCategory::kComm);
           for (int r = 0; r < p; ++r) {
-            const auto& cl = want[static_cast<std::size_t>(r)];
+            const auto& cl = cur.want[static_cast<std::size_t>(r)];
             if (cl.empty()) continue;
-            Bytes out(total_len(cl));
-            std::uint64_t pos = 0;
-            for (const Piece& q : cl) {
-              std::memcpy(out.data() + pos,
-                          window.data() + win_index(ranges, q.file_off),
-                          q.len);
-              pos += q.len;
-            }
-            comm_.charge_memcpy(out.size());
-            obs::span_counter("bytes", out.size());
-            comm_.send(r, tag, out);
+            ship(r, cl, [&](const Piece& q) {
+              return win.data() + win_index(cur.ranges, q.file_off);
+            });
           }
         }
+        if (pipelined) std::swap(cur, nxt);
       }
-      // -- requester side: receive from every aggregator that holds a piece
-      OBS_SPAN("two_phase.comm", sim::TimeCategory::kComm);
-      for (int a = 0; a < geom.naggr; ++a) {
-        geom.window_ranges(a, t, peer);
-        if (peer.empty()) continue;
-        auto cl = clip_ranges(mine, peer);
-        if (cl.empty()) continue;
-        Bytes in = comm_.recv(a, tag);
-        obs::span_counter("bytes", in.size());
-        PARAMRIO_REQUIRE(in.size() == total_len(cl),
-                         "two-phase read: piece size mismatch");
-        std::uint64_t pos = 0;
-        for (const Piece& q : cl) {
-          std::memcpy(rbuf.data() + q.buf_off, in.data() + pos, q.len);
-          pos += q.len;
-        }
-        comm_.charge_memcpy(in.size());
-      }
+      each_aggregator(t, [&](int a, const std::vector<Piece>& cl) {
+        land(a, cl, [&](const Piece& q) { return rbuf.data() + q.buf_off; });
+      });
     } else {
-      // ---- WRITE: requesters ship pieces, aggregator assembles + writes
-      {
-        OBS_SPAN("two_phase.comm", sim::TimeCategory::kComm);
-        for (int a = 0; a < geom.naggr; ++a) {
-          geom.window_ranges(a, t, peer);
-          if (peer.empty()) continue;
-          auto cl = clip_ranges(mine, peer);
-          if (cl.empty()) continue;
-          Bytes out(total_len(cl));
-          std::uint64_t pos = 0;
-          for (const Piece& q : cl) {
-            std::memcpy(out.data() + pos, wbuf.data() + q.buf_off, q.len);
-            pos += q.len;
-          }
-          comm_.charge_memcpy(out.size());
-          obs::span_counter("bytes", out.size());
-          comm_.send(a, tag, out);
-        }
-      }
+      // Requesters ship their pieces; the aggregator assembles its window
+      // and writes each covered run contiguously (holes are skipped, so no
+      // read-modify-write).  Pipelined, the previous window's write ran
+      // while this window's exchange was received: charge only the stall
+      // the exchange did not cover, then leave this window's write in
+      // flight in turn.  settle_deferred's clock_at_least also serialises
+      // consecutive window writes on the device.
+      each_aggregator(t, [&](int a, const std::vector<Piece>& cl) {
+        ship(a, cl, [&](const Piece& q) { return wbuf.data() + q.buf_off; });
+      });
       if (i_aggregate) {
-        geom.window_ranges(comm_.rank(), t, ranges);
-        if (!ranges.empty()) {
+        plan_window(t, nxt);
+        if (!nxt.ranges.empty()) {
           std::vector<std::byte>& win = winbuf(t);
-          std::vector<Piece> incoming;
-          bool sized = false;
           {
             OBS_SPAN("two_phase.comm", sim::TimeCategory::kComm);
+            if (nxt.total > 0) size_window(t, nxt);
             for (int r = 0; r < p; ++r) {
-              auto cl =
-                  clip_ranges(pieces[static_cast<std::size_t>(r)], ranges);
+              const auto& cl = nxt.want[static_cast<std::size_t>(r)];
               if (cl.empty()) continue;
-              if (!sized) {
-                const std::uint64_t wbytes = geom.extent(ranges);
-                win.resize(wbytes);
-                stats_.cb_peak_window_bytes =
-                    std::max(stats_.cb_peak_window_bytes, wbytes);
-                obs::counter_sample("cb_window_bytes",
-                                    static_cast<double>(wbytes));
-                sized = true;
-              }
-              Bytes in = comm_.recv(r, tag);
-              PARAMRIO_REQUIRE(in.size() == total_len(cl),
-                               "two-phase write: piece size mismatch");
-              std::uint64_t pos = 0;
-              for (const Piece& q : cl) {
-                std::memcpy(win.data() + win_index(ranges, q.file_off),
-                            in.data() + pos, q.len);
-                pos += q.len;
-              }
-              comm_.charge_memcpy(in.size());
-              obs::span_counter("bytes", in.size());
-              incoming.insert(incoming.end(), cl.begin(), cl.end());
+              land(r, cl, [&](const Piece& q) {
+                return win.data() + win_index(nxt.ranges, q.file_off);
+              });
             }
           }
-          if (!incoming.empty()) {
+          if (nxt.total > 0) {
             stats_.two_phase_windows += 1;
-            const bool aligned = classify_window(ranges);
+            const bool aligned = classify_window(nxt.ranges);
             if (aligned && align_active) stats_.cb_token_saves += 1;
-            std::sort(incoming.begin(), incoming.end(),
-                      [](const Piece& a2, const Piece& b2) {
-                        return a2.file_off < b2.file_off;
-                      });
-            if (pipelined) {
-              // ---- pipelined WRITE: the previous window's write ran while
-              // this window's exchange was received; charge only whatever
-              // stall the exchange did not cover, then leave this window's
-              // write in flight in turn.  settle_deferred's clock_at_least
-              // also serialises consecutive window writes on the device.
-              if (pend_completion >= 0.0) {
-                settle_deferred(pend_issue, pend_completion);
-                pend_completion = -1.0;
-              }
-              stats_.overlap_windows += 1;
-              sim::Proc& proc = sim::current_proc();
-              pend_issue = proc.now();
-              DeferredScope defer(proc);
-              OBS_SPAN("two_phase.io", sim::TimeCategory::kIo);
-              obs::span_counter("window_bytes", win.size());
-              for (const Segment& run : union_runs(incoming)) {
-                fs_write(run.offset,
-                         std::span<const std::byte>(
-                             win.data() + win_index(ranges, run.offset),
-                             run.length));
-              }
-              pend_completion = defer.end();
-              if (verify::Verifier* v = verify::verifier()) {
-                v->on_file_deferred_issue(path_, comm_.rank(), pend_issue,
-                                          pend_completion);
-              }
-            } else {
-              OBS_SPAN("two_phase.io", sim::TimeCategory::kIo);
-              obs::span_counter("window_bytes", win.size());
-              // Write each covered run contiguously; holes are skipped so
-              // no read-modify-write is needed.
-              for (const Segment& run : union_runs(incoming)) {
-                fs_write(run.offset,
-                         std::span<const std::byte>(
-                             win.data() + win_index(ranges, run.offset),
-                             run.length));
-              }
-            }
+            settle(cur);
+            window_io(nxt, win, [&](const Segment& run, std::uint64_t idx) {
+              fs_write(run.offset, std::span<const std::byte>(
+                                       win.data() + idx, run.length));
+            });
+            std::swap(cur, nxt);
           }
         }
       }
@@ -714,12 +563,12 @@ void File::two_phase(bool is_write, const std::vector<Segment>& segs,
     }
   }
 
-  if (pend_completion >= 0.0) {
+  if (cur.completion >= 0.0) {
     // The final window's write stays in flight: blocking collectives drain
     // it on return, split collectives at their end call — by which point
     // the caller's post-begin work may have hidden it entirely.
-    collective_pending_issue_ = pend_issue;
-    collective_pending_completion_ = pend_completion;
+    collective_pending_issue_ = cur.issued;
+    collective_pending_completion_ = cur.completion;
   }
 }
 

@@ -637,6 +637,25 @@ TEST(MpiIoFile, ErrorPaths) {
   });
 }
 
+TEST(MpiIoFile, ZeroSieveBufferIsRejectedAtOpen) {
+  // A zero data-sieving buffer would step sieved reads by zero bytes
+  // forever; the open refuses it instead, naming the hint.
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  Runtime rt(rparams(1));
+  rt.run([&](Comm& c) {
+    Hints h;
+    h.ds_buffer_size = 0;
+    try {
+      File f(c, fs, "ds0", pfs::OpenMode::kCreate, h);
+      ADD_FAILURE() << "File accepted ds_buffer_size == 0";
+    } catch (const LogicError& e) {
+      EXPECT_NE(std::string(e.what()).find("ds_buffer_size"),
+                std::string::npos)
+          << e.what();
+    }
+  });
+}
+
 TEST(MpiIoFile, ZeroByteOpsAreNoops) {
   pfs::LocalFs fs(pfs::LocalFsParams{});
   Runtime rt(rparams(2));
@@ -747,6 +766,57 @@ TEST(WriteBehind, OverlappingRewriteStaysCorrect) {
     for (std::size_t i = 300; i < 500; ++i) ASSERT_EQ(all[i], a[i]);
     for (std::size_t i = 0; i < 1000; ++i) ASSERT_EQ(all[500 + i], b[i]);
   });
+}
+
+TEST(WriteBehind, BypassingWriteLandsAfterOverlappedBufferedRun) {
+  // A write the buffer cannot take — larger than the buffer, or split by a
+  // noncontiguous view — goes straight to the fs.  A pending run it overlaps
+  // must land first; flushed later, it would put the older bytes back.
+  for (bool strided : {false, true}) {
+    pfs::LocalFs fs(pfs::LocalFsParams{});
+    Runtime rt(rparams(1));
+    rt.run([&](Comm& c) {
+      Hints h;
+      h.wb_buffer_size = 4 * KiB;
+      File f(c, fs, "wb5", pfs::OpenMode::kCreate, h);
+      f.write_at(0, std::vector<std::byte>(1000, std::byte{0x01}));
+      EXPECT_EQ(f.stats().wb_absorbed, 1u);
+      if (strided) {
+        f.set_view(0, Datatype::vector(2, 100, 200));  // [0,100) + [200,300)
+        f.write_at(0, std::vector<std::byte>(200, std::byte{0x02}));
+      } else {
+        f.write_at(0, std::vector<std::byte>(8192, std::byte{0x02}));
+      }
+      f.close();
+    });
+    std::vector<std::byte> all(1000);
+    fs.store().read_at("wb5", 0, all);
+    std::size_t bad = all.size();
+    for (std::size_t i = 0; i < all.size() && bad == all.size(); ++i) {
+      const bool newer = !strided || i < 100 || (i >= 200 && i < 300);
+      if (all[i] != (newer ? std::byte{0x02} : std::byte{0x01})) bad = i;
+    }
+    EXPECT_EQ(bad, all.size())
+        << (strided ? "strided" : "large") << " write: first stale byte";
+  }
+}
+
+TEST(WriteBehind, DisjointBypassingWriteKeepsBufferPending) {
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  Runtime rt(rparams(1));
+  rt.run([&](Comm& c) {
+    Hints h;
+    h.wb_buffer_size = 4 * KiB;
+    File f(c, fs, "wb6", pfs::OpenMode::kCreate, h);
+    f.write_at(0, iota_bytes(1000, 1));
+    f.write_at(8192, iota_bytes(8192, 2));  // too large, but disjoint
+    EXPECT_EQ(f.stats().wb_flushes, 0u);
+    f.close();
+    EXPECT_EQ(f.stats().wb_flushes, 1u);
+  });
+  std::vector<std::byte> head(1000);
+  fs.store().read_at("wb6", 0, head);
+  EXPECT_EQ(head, iota_bytes(1000, 1));
 }
 
 TEST(WriteBehind, CollectiveWriteFlushesFirst) {

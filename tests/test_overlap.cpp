@@ -502,6 +502,130 @@ TEST(HintsEdge, CbBufferSmallerThanStripeStillMovesEveryByte) {
 }
 
 // ---------------------------------------------------------------------------
+// Two-phase virtual time, pinned.  The content tests above cannot see a
+// window that lands at the right bytes but at the wrong virtual time; this
+// one pins every rank's clock and window counters for both directions,
+// synchronous and pipelined windows, unaligned and stripe-aligned domains.
+// ---------------------------------------------------------------------------
+
+struct TwoPhaseTiming {
+  double t_write = 0.0;  ///< rank clock after write_at_all
+  double t_read = 0.0;   ///< rank clock after read_at_all
+  std::uint64_t windows = 0, overlap_windows = 0, aligned = 0, straddle = 0,
+                token_saves = 0, peak_window = 0;
+  double saved = 0.0;  ///< overlap_saved_time
+};
+
+/// 4 ranks, each owning an interleaved middle-dim slab of a 32³ × 8 B array,
+/// written then read back collectively on a 4-server StripedFs with 16 KiB
+/// stripes and an 8 KiB collective buffer.
+std::vector<TwoPhaseTiming> run_two_phase_timing(bool overlap,
+                                                 std::uint64_t cb_align) {
+  const int p = 4;
+  const std::uint64_t n = 32, elem = 8;
+  net::NetworkParams np;
+  pfs::StripedFsParams sp;
+  sp.stripe_size = 16 * KiB;
+  sp.n_io_nodes = 4;
+  net::Network nw(np, p, sp.n_io_nodes);
+  pfs::StripedFs fs(sp, nw);
+  RuntimeParams rp = rparams(p);
+  rp.extra_fabric_nodes = sp.n_io_nodes;
+  Runtime rt(rp);
+  std::vector<TwoPhaseTiming> out(p);
+  rt.run([&](Comm& c) {
+    Hints h;
+    h.overlap = overlap;
+    h.cb_align = cb_align;
+    h.cb_buffer_size = 8 * KiB;
+    File f(c, fs, "a", pfs::OpenMode::kCreate, h);
+    const std::uint64_t yc = n / static_cast<std::uint64_t>(p);
+    const std::uint64_t ys = yc * static_cast<std::uint64_t>(c.rank());
+    f.set_view(0, Datatype::subarray({n, n, n}, {n, yc, n}, {0, ys, 0}, elem));
+    const auto data =
+        pattern(n * yc * n * elem, static_cast<unsigned>(c.rank()));
+    TwoPhaseTiming& t = out[static_cast<std::size_t>(c.rank())];
+    f.write_at_all(0, data);
+    t.t_write = sim::current_proc().now();
+    std::vector<std::byte> back(data.size());
+    f.read_at_all(0, back);
+    t.t_read = sim::current_proc().now();
+    EXPECT_EQ(back, data) << "rank " << c.rank();
+    const FileStats& s = f.stats();
+    t.windows = s.two_phase_windows;
+    t.overlap_windows = s.overlap_windows;
+    t.aligned = s.cb_aligned_windows;
+    t.straddle = s.cb_straddle_windows;
+    t.token_saves = s.cb_token_saves;
+    t.peak_window = s.cb_peak_window_bytes;
+    t.saved = s.overlap_saved_time;
+    f.close();
+  });
+  return out;
+}
+
+TEST(TwoPhaseGolden, VirtualTimeAndWindowCountersArePinned) {
+  struct Case {
+    bool overlap;
+    std::uint64_t cb_align;
+    TwoPhaseTiming rank[4];
+  };
+  // Taken from the two-phase engine before its window loops were merged.
+  const Case cases[] = {
+      {false,
+       1,
+       {{0.072821253333333363, 0.26724931999999985, 16, 0, 0, 16, 0, 8192, 0},
+        {0.075094320000000034, 0.26732253333333328, 16, 0, 0, 16, 0, 8192, 0},
+        {0.079640453333333375, 0.26729227999999988, 16, 0, 0, 16, 0, 8192, 0},
+        {0.077367386666666704, 0.26732058666666658, 16, 0, 0, 16, 0, 8192, 0}}},
+      {false,
+       Hints::kCbAlignAuto,
+       {{0.013866973333333333, 0.030721946666666652, 8, 0, 8, 0, 4, 16384, 0},
+        {0.013866973333333334, 0.030731946666666652, 8, 0, 8, 0, 4, 16384, 0},
+        {0.013876973333333334, 0.030731946666666652, 8, 0, 8, 0, 4, 16384, 0},
+        {0.013876973333333332, 0.030731946666666652, 8, 0, 8, 0, 4, 16384, 0}}},
+      {true,
+       1,
+       {{0.050800573333333349, 0.17412433333333324, 16, 16, 0, 16, 0, 8192,
+         0.036234186666666446},
+        {0.053073640000000019, 0.17419754666666648, 16, 16, 0, 16, 0, 8192,
+         0.018590453333332913},
+        {0.05761977333333336, 0.1741672933333332, 16, 16, 0, 16, 0, 8192,
+         0.072297746666666593},
+        {0.05534670666666669, 0.17419559999999984, 16, 16, 0, 16, 0, 8192,
+         0.083608026666666585}}},
+      {true,
+       Hints::kCbAlignAuto,
+       {{0.012994813333333329, 0.028977626666666655, 8, 8, 8, 0, 4, 16384,
+         0.0017443199999999884},
+        {0.012994813333333331, 0.028987626666666655, 8, 8, 8, 0, 4, 16384,
+         0.0017443199999999884},
+        {0.01300481333333333, 0.028987626666666655, 8, 8, 8, 0, 4, 16384,
+         0.0017443199999999884},
+        {0.013004813333333328, 0.028987626666666655, 8, 8, 8, 0, 4, 16384,
+         0.0017743199999999976}}},
+  };
+  for (const Case& k : cases) {
+    const auto got = run_two_phase_timing(k.overlap, k.cb_align);
+    for (std::size_t r = 0; r < 4; ++r) {
+      const TwoPhaseTiming& w = k.rank[r];
+      const TwoPhaseTiming& g = got[r];
+      SCOPED_TRACE("overlap=" + std::to_string(k.overlap) + " cb_align=" +
+                   std::to_string(k.cb_align) + " rank " + std::to_string(r));
+      EXPECT_EQ(g.t_write, w.t_write);
+      EXPECT_EQ(g.t_read, w.t_read);
+      EXPECT_EQ(g.windows, w.windows);
+      EXPECT_EQ(g.overlap_windows, w.overlap_windows);
+      EXPECT_EQ(g.aligned, w.aligned);
+      EXPECT_EQ(g.straddle, w.straddle);
+      EXPECT_EQ(g.token_saves, w.token_saves);
+      EXPECT_EQ(g.peak_window, w.peak_window);
+      EXPECT_EQ(g.saved, w.saved);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Faults: a retrying in-flight op converges like a blocking one.
 // ---------------------------------------------------------------------------
 
