@@ -4,6 +4,7 @@
 
 #include "base/byte_io.hpp"
 #include "base/error.hpp"
+#include "fault/retry.hpp"
 #include "mpi/comm.hpp"
 
 namespace paramrio::enzo {
@@ -38,12 +39,12 @@ void CheckpointSeries::dump(mpi::Comm& comm, const SimulationState& state,
     w.u64(kMarkerMagic);
     w.u64(gen);
     auto bytes = w.take();
-    int fd = fs_.open(marker_path(gen), pfs::OpenMode::kCreate);
-    std::uint64_t done = 0;
-    while (done < bytes.size()) {
-      done += fs_.write_at(
-          fd, done, std::span<const std::byte>(bytes).subspan(done));
-    }
+    const std::string marker = marker_path(gen);
+    int fd = fs_.open(marker, pfs::OpenMode::kCreate);
+    fault::transfer(bytes.size(), marker, [&](std::uint64_t done) {
+      return fs_.write_at(fd, done,
+                          std::span<const std::byte>(bytes).subspan(done));
+    });
     fs_.close(fd);
   }
   // No rank may report the dump done before the marker is published.

@@ -29,6 +29,9 @@ File::File(Comm& comm, pfs::FileSystem& fs, std::string path,
   // A zero sieve buffer would step sieved reads by zero bytes forever.
   PARAMRIO_REQUIRE(hints_.ds_buffer_size > 0,
                    "File(" + path_ + "): Hints::ds_buffer_size must be > 0");
+  // A negative cb_nodes leaves no aggregator: collectives would write nothing.
+  PARAMRIO_REQUIRE(hints_.cb_nodes >= 0,
+                   "File(" + path_ + "): Hints::cb_nodes must be >= 0");
   if (verify::Verifier* v = verify::verifier()) {
     // The open signature every rank must agree on: mode plus the full
     // deterministic hints key.
@@ -170,115 +173,56 @@ void File::note_collective(const char* op, std::uint64_t data_bytes) const {
 
 // ---- fault-surviving fs access --------------------------------------------
 //
-// Every byte a File moves goes through fs_read/fs_write.  They implement the
-// POSIX-style resume loop (a short transfer is continued from where it
-// stopped — always on, since silently accepting a short write would corrupt
-// the file) and, when hints.retry is enabled, absorb TransientIoError with
-// exponential backoff on the virtual clock and verify the landed prefix of
-// short writes by reading it back.
-
-bool File::try_backoff(int* attempt, std::uint64_t op_serial) {
-  stats_.retry.transient_errors += 1;
-  if (*attempt >= hints_.retry.max_retries) return false;
-  const double delay = fault::backoff_delay(hints_.retry, *attempt);
-  *attempt += 1;
-  stats_.retry.retries += 1;
-  stats_.retry.backoff_seconds += delay;
-  if (hints_.retry.log_delays) {
-    stats_.retry.delay_log.push_back({op_serial, delay});
-  }
-  if (sim::in_simulation()) {
-    sim::Proc& proc = sim::current_proc();
-    obs::record_wait(obs::WaitKind::kRetryBackoff, proc.now(),
-                     proc.now() + delay);
-    proc.advance(delay, sim::TimeCategory::kIo);
-  }
-  return true;
-}
+// Every byte a File moves goes through fs_read/fs_write: one fault::Retry
+// budget per operation.  Short transfers are always resumed (silently
+// accepting a short write would corrupt the file); when hints.retry is
+// enabled, transient errors are absorbed with virtual-clock backoff and the
+// landed prefix of a short write is read back before it is resumed.
 
 void File::fs_read(std::uint64_t offset, std::span<std::byte> out) {
-  if (out.empty()) {
-    fs_.read_at(fd_, offset, out);
-    return;
-  }
-  const std::uint64_t op = retry_op_serial_++;
-  std::uint64_t done = 0;
-  int attempt = 0;
-  while (done < out.size()) {
-    std::uint64_t got = 0;
-    try {
-      got = fs_.read_at(fd_, offset + done, out.subspan(done));
-    } catch (const TransientIoError&) {
-      if (!try_backoff(&attempt, op)) throw;
-      continue;
-    }
-    if (got < out.size() - done) stats_.retry.short_reads += 1;
-    done += got;
-    if (done < out.size() && got == 0) {
-      // Zero progress is indistinguishable from a failure; it consumes
-      // retry budget so a dead-in-the-water file system cannot loop us.
-      if (!try_backoff(&attempt, op)) {
-        throw TransientIoError("read_at(" + path_ +
-                               "): no progress after retries");
-      }
-    }
-  }
+  fault::Retry(hints_.retry, stats_.retry, retry_op_serial_++)
+      .transfer(out.size(), path_, [&](std::uint64_t done) {
+        const std::uint64_t got =
+            fs_.read_at(fd_, offset + done, out.subspan(done));
+        if (got < out.size() - done) stats_.retry.short_reads += 1;
+        return got;
+      });
 }
 
 void File::fs_write(std::uint64_t offset, std::span<const std::byte> data) {
-  if (data.empty()) {
-    fs_.write_at(fd_, offset, data);
-    return;
-  }
-  const std::uint64_t op = retry_op_serial_++;
-  std::uint64_t done = 0;
-  int attempt = 0;
   std::vector<std::byte> verify;
-  while (done < data.size()) {
-    std::uint64_t wrote = 0;
+  const auto step = [&](std::uint64_t done) {
+    const std::uint64_t wrote =
+        fs_.write_at(fd_, offset + done, data.subspan(done));
+    if (wrote == data.size() - done) return wrote;
+    stats_.retry.short_writes += 1;
+    if (!hints_.retry.enabled() || !hints_.retry.verify_short_writes ||
+        wrote == 0) {
+      return wrote;
+    }
+    // Read the landed prefix back before resuming behind it: a short write
+    // that also corrupted its prefix must be redone, not resumed, and the
+    // redo draws on the retry budget like a transient error.
+    verify.resize(wrote);
+    bool mismatch = false;
     try {
-      wrote = fs_.write_at(fd_, offset + done, data.subspan(done));
+      const std::uint64_t vgot =
+          fs_.read_at(fd_, offset + done, std::span<std::byte>(verify));
+      stats_.retry.write_verifications += 1;
+      mismatch = !std::equal(
+          verify.begin(), verify.begin() + static_cast<std::ptrdiff_t>(vgot),
+          data.begin() + static_cast<std::ptrdiff_t>(done));
     } catch (const TransientIoError&) {
-      if (!try_backoff(&attempt, op)) throw;
-      continue;
+      // The verification read itself failed transiently; the landed prefix
+      // is still the store's truth, so resume optimistically.
     }
-    if (wrote < data.size() - done) {
-      stats_.retry.short_writes += 1;
-      if (hints_.retry.enabled() && hints_.retry.verify_short_writes &&
-          wrote > 0) {
-        // Read the landed prefix back before resuming behind it: a short
-        // write that also corrupted its prefix must be redone, not resumed.
-        verify.resize(wrote);
-        bool rewrite = false;
-        try {
-          const std::uint64_t vgot =
-              fs_.read_at(fd_, offset + done, std::span<std::byte>(verify));
-          stats_.retry.write_verifications += 1;
-          rewrite = !std::equal(
-              verify.begin(),
-              verify.begin() + static_cast<std::ptrdiff_t>(vgot),
-              data.begin() + static_cast<std::ptrdiff_t>(done));
-        } catch (const TransientIoError&) {
-          // The verification read itself failed transiently; the landed
-          // prefix is still the store's truth, so resume optimistically.
-        }
-        if (rewrite) {
-          if (!try_backoff(&attempt, op)) {
-            throw TransientIoError("write_at(" + path_ +
-                                   "): verification mismatch");
-          }
-          continue;  // rewrite the remainder including the bad prefix
-        }
-      }
+    if (mismatch) {
+      throw TransientIoError("write_at(" + path_ + "): verification mismatch");
     }
-    done += wrote;
-    if (done < data.size() && wrote == 0) {
-      if (!try_backoff(&attempt, op)) {
-        throw TransientIoError("write_at(" + path_ +
-                               "): no progress after retries");
-      }
-    }
-  }
+    return wrote;
+  };
+  fault::Retry(hints_.retry, stats_.retry, retry_op_serial_++)
+      .transfer(data.size(), path_, step);
 }
 
 void File::set_view(std::uint64_t disp, Datatype filetype) {

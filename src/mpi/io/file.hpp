@@ -301,11 +301,6 @@ class File {
   void fs_read(std::uint64_t offset, std::span<std::byte> out);
   void fs_write(std::uint64_t offset, std::span<const std::byte> data);
 
-  /// Shared retry-loop bookkeeping: counts the transient failure and, when
-  /// budget remains, sleeps the backoff on the virtual clock and returns
-  /// true; false means the caller must (re)throw.
-  bool try_backoff(int* attempt, std::uint64_t op_serial);
-
   /// Try to absorb an absolute-offset write run into the write-behind
   /// buffer; returns false when buffering is off or the run cannot fit.
   bool wb_absorb(std::uint64_t offset, std::span<const std::byte> data);

@@ -63,7 +63,7 @@ std::uint64_t FileSystem::read_at(int fd, std::uint64_t offset,
                                   std::span<std::byte> out) {
   OpenFile& f = descriptor_mut(fd, "read_at");
   std::uint64_t file_size = store_.size(f.path);
-  if (offset + out.size() > file_size) {
+  if (offset > file_size || out.size() > file_size - offset) {
     throw IoError("read_at(" + f.path + ", fd " + std::to_string(fd) +
                   "): range [" + std::to_string(offset) + ", " +
                   std::to_string(offset + out.size()) + ") past EOF " +
@@ -73,64 +73,71 @@ std::uint64_t FileSystem::read_at(int fd, std::uint64_t offset,
     store_.read_at(f.path, offset, out);
     return out.size();
   }
-  std::uint64_t done = 0;
-  int attempt = 0;
-  for (;;) {
-    try {
-      done += read_attempt(f, fd, offset + done, out.subspan(done));
-    } catch (const TransientIoError&) {
-      if (attempt >= retry_.max_retries) throw;
-      fault::charge_backoff(retry_, attempt, sim::current_proc());
-      ++attempt;
-      fs_retries_ += 1;
-      continue;
-    }
-    if (done >= out.size()) return done;
-    // Short transfer: without fs-level retry the caller sees the prefix
-    // length; with it the remainder is resumed (progress was made, so no
-    // retry budget is consumed).
-    if (!retry_.enabled()) return done;
-  }
+  return timed_transfer(f, fd, offset, out);
 }
 
-std::uint64_t FileSystem::read_attempt(OpenFile& f, int fd,
-                                       std::uint64_t offset,
-                                       std::span<std::byte> out) {
+std::uint64_t FileSystem::write_at(int fd, std::uint64_t offset,
+                                   std::span<const std::byte> data) {
+  OpenFile& f = descriptor_mut(fd, "write_at");
+  if (!f.writable) throw IoError("write to read-only descriptor: " + f.path);
+  if (!sim::in_simulation()) {  // untimed setup access
+    store_.write_at(f.path, offset, data);
+    on_untimed_write(f.path, offset, data);
+    return data.size();
+  }
+  return timed_transfer(f, fd, offset, data);
+}
+
+template <typename Byte>
+std::uint64_t FileSystem::timed_transfer(OpenFile& f, int fd,
+                                         std::uint64_t offset,
+                                         std::span<Byte> buf) {
+  // Without fs-level retry the caller sees a short transfer's prefix length
+  // and every transient error; with it, one budget covers the whole call.
+  if (!retry_.enabled()) return attempt(f, fd, offset, buf);
+  fault::Retry(retry_, fs_retries_)
+      .transfer(buf.size(), f.path, [&](std::uint64_t done) {
+        return attempt(f, fd, offset + done, buf.subspan(done));
+      });
+  return buf.size();
+}
+
+std::uint64_t FileSystem::admit(sim::Proc& proc, const OpenFile& f,
+                                bool is_write, std::uint64_t offset,
+                                std::uint64_t len) {
+  if (fault_hook_ == nullptr) return len;
+  const fault::IoFaultAction a =
+      fault_hook_->on_io(proc.global_rank(), proc.now(), is_write, f.path,
+                         offset, len, server_of(f.path, offset));
+  const char* const call = is_write ? "write_at(" : "read_at(";
+  switch (a.kind) {
+    case fault::IoFaultAction::Kind::kPass:
+      break;
+    case fault::IoFaultAction::Kind::kShort:
+      return std::min<std::uint64_t>(a.transfer, len);
+    case fault::IoFaultAction::Kind::kStall:
+      proc.advance(a.stall_seconds, sim::TimeCategory::kIo);
+      break;
+    case fault::IoFaultAction::Kind::kTransientError:
+      throw TransientIoError("injected EIO: " + (call + f.path) + ", " +
+                             std::to_string(offset) + ") on " + name());
+    case fault::IoFaultAction::Kind::kCrash:
+      throw CrashError("injected crash: " + (call + f.path) + ") on " +
+                       name());
+  }
+  return len;
+}
+
+std::uint64_t FileSystem::attempt(OpenFile& f, int fd, std::uint64_t offset,
+                                  std::span<std::byte> out) {
   OBS_SPAN("pfs.read", sim::TimeCategory::kIo);
   sim::Proc& proc = sim::current_proc();
   const double op_start = proc.now();
-  std::uint64_t transfer = out.size();
-  if (fault_hook_ != nullptr) {
-    const fault::IoFaultAction a =
-        fault_hook_->on_io(proc.global_rank(), proc.now(), /*is_write=*/false,
-                           f.path, offset, out.size(),
-                           server_of(f.path, offset));
-    switch (a.kind) {
-      case fault::IoFaultAction::Kind::kPass:
-        break;
-      case fault::IoFaultAction::Kind::kShort:
-        transfer = std::min<std::uint64_t>(a.transfer, out.size());
-        break;
-      case fault::IoFaultAction::Kind::kStall:
-        proc.advance(a.stall_seconds, sim::TimeCategory::kIo);
-        break;
-      case fault::IoFaultAction::Kind::kTransientError:
-        throw TransientIoError("injected EIO: read_at(" + f.path + ", " +
-                               std::to_string(offset) + ") on " + name());
-      case fault::IoFaultAction::Kind::kCrash:
-        throw CrashError("injected crash: read_at(" + f.path + ") on " +
-                         name());
-    }
-  }
+  const std::uint64_t transfer =
+      admit(proc, f, /*is_write=*/false, offset, out.size());
   obs::span_counter("bytes", transfer);
   store_.read_at(f.path, offset, out.first(transfer));
-  proc.stats().io_bytes_read += transfer;
-  proc.stats().io_requests += 1;
-  account_job(proc, /*is_write=*/false, transfer);
-  if (observer_ != nullptr) {
-    observer_->on_io(proc.now(), proc.global_rank(), /*is_write=*/false,
-                     f.path, offset, transfer, fd);
-  }
+  account(proc, f, fd, /*is_write=*/false, offset, transfer);
   if (cache_enabled_ && transfer > 0) {
     Intervals& iv = cache_of(f);
     cache_lookups_ += 1;
@@ -157,70 +164,16 @@ std::uint64_t FileSystem::read_attempt(OpenFile& f, int fd,
   return transfer;
 }
 
-std::uint64_t FileSystem::write_at(int fd, std::uint64_t offset,
-                                   std::span<const std::byte> data) {
-  OpenFile& f = descriptor_mut(fd, "write_at");
-  if (!f.writable) throw IoError("write to read-only descriptor: " + f.path);
-  if (!sim::in_simulation()) {  // untimed setup access
-    store_.write_at(f.path, offset, data);
-    on_untimed_write(f.path, offset, data);
-    return data.size();
-  }
-  std::uint64_t done = 0;
-  int attempt = 0;
-  for (;;) {
-    try {
-      done += write_attempt(f, fd, offset + done, data.subspan(done));
-    } catch (const TransientIoError&) {
-      if (attempt >= retry_.max_retries) throw;
-      fault::charge_backoff(retry_, attempt, sim::current_proc());
-      ++attempt;
-      fs_retries_ += 1;
-      continue;
-    }
-    if (done >= data.size()) return done;
-    if (!retry_.enabled()) return done;
-  }
-}
-
-std::uint64_t FileSystem::write_attempt(OpenFile& f, int fd,
-                                        std::uint64_t offset,
-                                        std::span<const std::byte> data) {
+std::uint64_t FileSystem::attempt(OpenFile& f, int fd, std::uint64_t offset,
+                                  std::span<const std::byte> data) {
   OBS_SPAN("pfs.write", sim::TimeCategory::kIo);
   sim::Proc& proc = sim::current_proc();
   const double op_start = proc.now();
-  std::uint64_t transfer = data.size();
-  if (fault_hook_ != nullptr) {
-    const fault::IoFaultAction a =
-        fault_hook_->on_io(proc.global_rank(), proc.now(), /*is_write=*/true,
-                           f.path, offset, data.size(),
-                           server_of(f.path, offset));
-    switch (a.kind) {
-      case fault::IoFaultAction::Kind::kPass:
-        break;
-      case fault::IoFaultAction::Kind::kShort:
-        transfer = std::min<std::uint64_t>(a.transfer, data.size());
-        break;
-      case fault::IoFaultAction::Kind::kStall:
-        proc.advance(a.stall_seconds, sim::TimeCategory::kIo);
-        break;
-      case fault::IoFaultAction::Kind::kTransientError:
-        throw TransientIoError("injected EIO: write_at(" + f.path + ", " +
-                               std::to_string(offset) + ") on " + name());
-      case fault::IoFaultAction::Kind::kCrash:
-        throw CrashError("injected crash: write_at(" + f.path + ") on " +
-                         name());
-    }
-  }
+  const std::uint64_t transfer =
+      admit(proc, f, /*is_write=*/true, offset, data.size());
   obs::span_counter("bytes", transfer);
   store_.write_at(f.path, offset, data.first(transfer));
-  proc.stats().io_bytes_written += transfer;
-  proc.stats().io_requests += 1;
-  account_job(proc, /*is_write=*/true, transfer);
-  if (observer_ != nullptr) {
-    observer_->on_io(proc.now(), proc.global_rank(), /*is_write=*/true,
-                     f.path, offset, transfer, fd);
-  }
+  account(proc, f, fd, /*is_write=*/true, offset, transfer);
   if (cache_enabled_ && transfer > 0) {
     cache_insert(cache_of(f), offset, transfer);
   }
@@ -266,21 +219,25 @@ void FileSystem::cache_insert(Intervals& iv, std::uint64_t off,
   iv[lo] = hi;
 }
 
-void FileSystem::account_job(const sim::Proc& proc, bool is_write,
-                             std::uint64_t bytes) {
+void FileSystem::account(sim::Proc& proc, const OpenFile& f, int fd,
+                         bool is_write, std::uint64_t offset,
+                         std::uint64_t bytes) {
+  (is_write ? proc.stats().io_bytes_written : proc.stats().io_bytes_read) +=
+      bytes;
+  proc.stats().io_requests += 1;
   JobIo& io = job_io_[proc.job()];
   if (io.requests == 0) io.name = proc.job_name();
-  if (is_write) {
-    io.bytes_written += bytes;
-  } else {
-    io.bytes_read += bytes;
-  }
+  (is_write ? io.bytes_written : io.bytes_read) += bytes;
   io.requests += 1;
+  if (observer_ != nullptr) {
+    observer_->on_io(proc.now(), proc.global_rank(), is_write, f.path, offset,
+                     bytes, fd);
+  }
 }
 
 void FileSystem::export_counters(obs::MetricsRegistry& reg) const {
   reg.add("fs:" + name(), "cache_hit_bytes", cache_hits_);
-  if (fs_retries_ > 0) reg.add("fs:" + name(), "retries", fs_retries_);
+  if (fs_retries() > 0) reg.add("fs:" + name(), "retries", fs_retries());
   // Per-tenant traffic breakdown, only in genuinely multi-job runs so every
   // single-job registry export stays byte-identical to previous releases.
   if (job_io_.size() > 1) {

@@ -160,7 +160,7 @@ class FileSystem {
   const fault::RetryPolicy& retry() const { return retry_; }
 
   /// Re-attempts the fs-level retry loop performed (tests/obs export).
-  std::uint64_t fs_retries() const { return fs_retries_; }
+  std::uint64_t fs_retries() const { return fs_retries_.retries; }
 
   /// I/O server holding byte `offset` of `path` under this fs's layout, or
   /// -1 when unstriped (fault specs match on this).
@@ -224,14 +224,22 @@ class FileSystem {
   OpenFile& descriptor_mut(int fd, const char* op);
   Intervals& cache_of(OpenFile& f);
 
-  /// One timed attempt at (part of) a data operation: consults the fault
-  /// hook, moves up to the requested bytes, and accounts exactly the bytes
-  /// moved.  Returns the transfer length; throws TransientIoError /
-  /// CrashError when the hook says so.
-  std::uint64_t read_attempt(OpenFile& f, int fd, std::uint64_t offset,
-                             std::span<std::byte> out);
-  std::uint64_t write_attempt(OpenFile& f, int fd, std::uint64_t offset,
-                              std::span<const std::byte> data);
+  /// The timed body of read_at/write_at (`Byte` is const for writes): one
+  /// attempt, or under fs-level retry one budget resuming the whole call.
+  template <typename Byte>
+  std::uint64_t timed_transfer(OpenFile& f, int fd, std::uint64_t offset,
+                               std::span<Byte> buf);
+  /// One timed attempt at (part of) a read (mutable span) or a write (const
+  /// span): moves up to the requested bytes and accounts exactly the bytes
+  /// moved.  Returns the transfer length.
+  std::uint64_t attempt(OpenFile& f, int fd, std::uint64_t offset,
+                        std::span<std::byte> out);
+  std::uint64_t attempt(OpenFile& f, int fd, std::uint64_t offset,
+                        std::span<const std::byte> data);
+  /// The fault hook's verdict on one attempt of `len` bytes: the bytes it may
+  /// move (after any injected stall), or TransientIoError / CrashError.
+  std::uint64_t admit(sim::Proc& proc, const OpenFile& f, bool is_write,
+                      std::uint64_t offset, std::uint64_t len);
 
   bool cache_covers(const Intervals& iv, std::uint64_t off,
                     std::uint64_t len) const;
@@ -246,7 +254,9 @@ class FileSystem {
     std::uint64_t bytes_written = 0;
     std::uint64_t requests = 0;
   };
-  void account_job(const sim::Proc& proc, bool is_write, std::uint64_t bytes);
+  /// Proc stats, per-job traffic and the observer for one landed request.
+  void account(sim::Proc& proc, const OpenFile& f, int fd, bool is_write,
+               std::uint64_t offset, std::uint64_t bytes);
 
   stor::ObjectStore store_;
   std::map<int, OpenFile> open_files_;
@@ -254,7 +264,7 @@ class FileSystem {
   IoObserver* observer_ = nullptr;
   fault::IoFaultHook* fault_hook_ = nullptr;
   fault::RetryPolicy retry_;
-  std::uint64_t fs_retries_ = 0;
+  fault::RetryStats fs_retries_;
   bool cache_enabled_ = false;
   double cache_bandwidth_ = 0.0;
   std::uint64_t cache_hits_ = 0;

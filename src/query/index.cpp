@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "base/byte_io.hpp"
+#include "fault/retry.hpp"
 
 namespace paramrio::query {
 
@@ -20,30 +21,29 @@ void build_id_ladder(pfs::FileSystem& fs, GenerationIndex& ix) {
   int fd = fs.open(ids.path, pfs::OpenMode::kRead);
   const std::uint64_t chunk_elems = (1 * MiB) / sizeof(std::uint64_t);
   std::vector<std::byte> buf;
-  for (std::uint64_t first = 0; first < n; first += chunk_elems) {
-    const std::uint64_t count = std::min(chunk_elems, n - first);
-    buf.resize(count * sizeof(std::uint64_t));
-    std::uint64_t done = 0;
-    while (done < buf.size()) {
-      std::uint64_t got = fs.read_at(
-          fd, ids.offset + first * sizeof(std::uint64_t) + done,
-          std::span<std::byte>(buf).subspan(done));
-      if (got == 0) {
-        fs.close(fd);
-        throw IoError(ids.path + ": short read building particle-ID index");
-      }
-      done += got;
-    }
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::uint64_t id = 0;
-      std::memcpy(&id, buf.data() + i * sizeof(std::uint64_t), sizeof id);
-      const std::uint64_t global = first + i;
-      if (global == 0) ix.id_min = id;
-      if (global == n - 1) ix.id_max = id;
-      if (global % kIdSampleStride == 0 || global == n - 1) {
-        ix.id_samples.push_back(IdSample{id, global});
+  try {
+    for (std::uint64_t first = 0; first < n; first += chunk_elems) {
+      const std::uint64_t count = std::min(chunk_elems, n - first);
+      buf.resize(count * sizeof(std::uint64_t));
+      const std::uint64_t at = ids.offset + first * sizeof(std::uint64_t);
+      fault::transfer(buf.size(), ids.path, [&](std::uint64_t done) {
+        return fs.read_at(fd, at + done,
+                          std::span<std::byte>(buf).subspan(done));
+      });
+      for (std::uint64_t i = 0; i < count; ++i) {
+        std::uint64_t id = 0;
+        std::memcpy(&id, buf.data() + i * sizeof(std::uint64_t), sizeof id);
+        const std::uint64_t global = first + i;
+        if (global == 0) ix.id_min = id;
+        if (global == n - 1) ix.id_max = id;
+        if (global % kIdSampleStride == 0 || global == n - 1) {
+          ix.id_samples.push_back(IdSample{id, global});
+        }
       }
     }
+  } catch (...) {
+    fs.close(fd);
+    throw;
   }
   fs.close(fd);
 }

@@ -111,26 +111,11 @@ Service::OpenPath& Service::open_path(const std::string& path) {
 
 void Service::timed_read(int fd, std::uint64_t offset,
                          std::span<std::byte> out) {
-  const fault::RetryPolicy& rp = params_.hints.retry;
-  sim::Proc& proc = sim::current_proc();
-  std::uint64_t done = 0;
-  int attempt = 0;
-  while (done < out.size()) {
-    try {
-      std::uint64_t got = fs_.read_at(fd, offset + done, out.subspan(done));
-      if (got == 0) {
-        throw IoError("query: unexpected EOF at offset " +
-                      std::to_string(offset + done));
-      }
-      done += got;
-      attempt = 0;
-    } catch (const TransientIoError&) {
-      if (attempt >= rp.max_retries) throw;
-      fault::charge_backoff(rp, attempt, proc);
-      ++attempt;
-      ++io_retries_;
-    }
-  }
+  fault::transfer(out.size(), "query: read", [&](std::uint64_t done) {
+    return fault::Retry(params_.hints.retry, io_retries_).call([&] {
+      return fs_.read_at(fd, offset + done, out.subspan(done));
+    });
+  });
 }
 
 std::vector<std::byte> Service::fetch_block(const std::string& path,
@@ -464,7 +449,7 @@ void Service::export_counters(obs::MetricsRegistry& reg) const {
   reg.add(scope, "demand_fetches", demand_fetches_);
   reg.add(scope, "index_builds", index_builds_);
   if (index_loads_ > 0) reg.add(scope, "index_loads", index_loads_);
-  if (io_retries_ > 0) reg.add(scope, "io_retries", io_retries_);
+  if (io_retries() > 0) reg.add(scope, "io_retries", io_retries());
   if (prefetches_ > 0) reg.add(scope, "prefetches", prefetches_);
   if (shared_fetch_waits_ > 0) {
     reg.add(scope, "shared_fetch_waits", shared_fetch_waits_);

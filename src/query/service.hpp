@@ -135,7 +135,7 @@ class Service {
   /// Cache-mode block fetches this service performed itself (with ample
   /// capacity this equals the distinct-block count, schedule-invariantly).
   std::uint64_t demand_fetches() const { return demand_fetches_; }
-  std::uint64_t io_retries() const { return io_retries_; }
+  std::uint64_t io_retries() const { return io_retries_.retries; }
   std::uint64_t prefetches() const { return prefetches_; }
   std::uint64_t shared_fetch_waits() const { return shared_fetch_waits_; }
   std::uint64_t index_builds() const { return index_builds_; }
@@ -194,7 +194,8 @@ class Service {
                                       std::uint64_t len, ExtractPlan* plan);
 
   /// Timed read of exactly out.size() bytes, absorbing short reads and
-  /// (within hints.retry) transient errors.
+  /// (within hints.retry) transient errors; the retry budget restarts after
+  /// every read that moves bytes.
   void timed_read(int fd, std::uint64_t offset, std::span<std::byte> out);
 
   void charge_copy(std::uint64_t bytes);
@@ -218,7 +219,7 @@ class Service {
   std::uint64_t payload_bytes_ = 0;
   std::uint64_t fetched_bytes_ = 0;
   std::uint64_t demand_fetches_ = 0;
-  std::uint64_t io_retries_ = 0;
+  fault::RetryStats io_retries_;
   std::uint64_t prefetches_ = 0;
   std::uint64_t shared_fetch_waits_ = 0;
   std::uint64_t index_builds_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "base/byte_io.hpp"
@@ -114,8 +115,8 @@ int StagedFs::segment_for_append(int rank, std::uint64_t record_bytes) {
 std::pair<int, std::uint64_t> StagedFs::append_record(
     RecordKind kind, const std::string& path, std::uint64_t offset,
     std::span<const std::byte> payload) {
-  const bool timed = sim::in_simulation();
-  const int rank = timed ? sim::current_proc().global_rank() : 0;
+  const int rank =
+      sim::in_simulation() ? sim::current_proc().global_rank() : 0;
   ByteWriter w;
   w.u32(kRecordMagic);
   w.u32(static_cast<std::uint32_t>(kind));
@@ -132,23 +133,12 @@ std::pair<int, std::uint64_t> StagedFs::append_record(
   const std::uint64_t payload_off = rec_off + kHeaderBytes + path.size();
   // The record only becomes visible (tail advance, extent insert) once it is
   // fully staged; a crash mid-append leaves a torn tail that recover()
-  // discards.  A transient staging fault restarts from the record head, so
-  // the log never interleaves partial records.
-  std::uint64_t done = 0;
-  int attempt = 0;
-  while (done < rec.size()) {
-    try {
-      done += staging_.write_at(
-          seg.fd, rec_off + done,
-          std::span<const std::byte>(rec).subspan(done));
-    } catch (const TransientIoError&) {
-      if (!timed || attempt >= params_.stage_retry.max_retries) throw;
-      fault::charge_backoff(params_.stage_retry, attempt,
-                            sim::current_proc());
-      ++attempt;
-      ++stage_retries_;
-    }
-  }
+  // discards.  One retry budget covers the whole record.
+  fault::Retry(params_.stage_retry, stage_retries_)
+      .transfer(rec.size(), seg.path, [&](std::uint64_t done) {
+        return staging_.write_at(seg.fd, rec_off + done,
+                                 std::span<const std::byte>(rec).subspan(done));
+      });
   seg.tail += rec.size();
   if (kind != RecordKind::kData) ++seg.tombstones;
   return {index, payload_off};
@@ -286,22 +276,10 @@ void StagedFs::drop_dest_fds(const std::string& path) {
 
 void StagedFs::tier_read(pfs::FileSystem& fs, int fd, std::uint64_t offset,
                          std::span<std::byte> out) {
-  std::uint64_t done = 0;
-  int attempt = 0;
-  while (done < out.size()) {
-    try {
-      done += fs.read_at(fd, offset + done, out.subspan(done));
-    } catch (const TransientIoError&) {
-      if (!sim::in_simulation() ||
-          attempt >= params_.stage_retry.max_retries) {
-        throw;
-      }
-      fault::charge_backoff(params_.stage_retry, attempt,
-                            sim::current_proc());
-      ++attempt;
-      ++stage_retries_;
-    }
-  }
+  fault::Retry(params_.stage_retry, stage_retries_)
+      .transfer(out.size(), "stage: tier read", [&](std::uint64_t done) {
+        return fs.read_at(fd, offset + done, out.subspan(done));
+      });
 }
 
 void StagedFs::backlog_gauge() const {
@@ -487,29 +465,22 @@ void StagedFs::drain_mine(DrainPolicy policy) {
       buf.assign(item.len, std::byte{0});
       tier_read(staging_, ensure_read_fd(seg), item.seg_off, buf);
       const int dfd = dest_write_fd(item.path);
-      std::uint64_t done = 0;
-      int attempt = 0;
-      while (done < buf.size()) {
-        try {
-          done += dest_.write_at(
-              dfd, item.lo + done,
-              std::span<const std::byte>(buf).subspan(done));
-        } catch (const TransientIoError& e) {
-          if (attempt >= params_.drain_retry.max_retries) {
-            // Diagnosed failure, never silent loss: the staged extent stays
-            // indexed and a later drain (or recover) can still migrate it.
-            throw IoError(
-                "stage.drain: destination write of " + item.path + " [" +
-                std::to_string(item.lo) + ", " +
-                std::to_string(item.lo + item.len) + ") from " + seg.path +
-                " failed after " +
-                std::to_string(params_.drain_retry.max_retries) +
-                " retries (" + e.what() + "); staged bytes retained");
-          }
-          fault::charge_backoff(params_.drain_retry, attempt, proc);
-          ++attempt;
-          ++drain_retries_;
-        }
+      try {
+        fault::Retry(params_.drain_retry, drain_retries_)
+            .transfer(buf.size(), item.path, [&](std::uint64_t done) {
+              return dest_.write_at(
+                  dfd, item.lo + done,
+                  std::span<const std::byte>(buf).subspan(done));
+            });
+      } catch (const TransientIoError& e) {
+        // Diagnosed failure, never silent loss: the staged extent stays
+        // indexed and a later drain (or recover) can still migrate it.
+        throw IoError("stage.drain: destination write of " + item.path +
+                      " [" + std::to_string(item.lo) + ", " +
+                      std::to_string(item.lo + item.len) + ") from " +
+                      seg.path + " failed after " +
+                      std::to_string(params_.drain_retry.max_retries) +
+                      " retries (" + e.what() + "); staged bytes retained");
       }
       // Erase exactly what was migrated: only intervals still pointing at
       // this segment location (a concurrent overwrite re-staged newer bytes
@@ -628,7 +599,13 @@ void StagedFs::recover() {
       const std::uint64_t offset = r.u64();
       const std::uint64_t payload_len = r.u64();
       if (kind > static_cast<std::uint32_t>(RecordKind::kTruncate)) break;
-      if (kHeaderBytes + path_len + payload_len > raw.size() - pos) break;
+      // Lengths and offsets come off disk: compare without wrapping, and
+      // treat a record whose extent end is not addressable as malformed.
+      const std::uint64_t body = raw.size() - pos - kHeaderBytes;
+      if (path_len > body || payload_len > body - path_len) break;
+      if (payload_len > std::numeric_limits<std::uint64_t>::max() - offset) {
+        break;
+      }
       const std::string path(
           reinterpret_cast<const char*>(raw.data() + pos + kHeaderBytes),
           path_len);
@@ -670,8 +647,8 @@ void StagedFs::export_counters(obs::MetricsRegistry& reg) const {
   if (segments_removed_ > 0) {
     reg.add(scope, "segments_removed", segments_removed_);
   }
-  if (stage_retries_ > 0) reg.add(scope, "stage_retries", stage_retries_);
-  if (drain_retries_ > 0) reg.add(scope, "drain_retries", drain_retries_);
+  if (stage_retries() > 0) reg.add(scope, "stage_retries", stage_retries());
+  if (drain_retries() > 0) reg.add(scope, "drain_retries", drain_retries());
   if (unmapped_read_bytes_ > 0) {
     reg.add(scope, "unmapped_read_bytes", unmapped_read_bytes_);
   }

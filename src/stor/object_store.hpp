@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <span>
 #include <string>
@@ -37,9 +38,15 @@ class ObjectStore {
   }
 
   /// Write, extending with zero bytes if offset is past the current end.
+  /// Throws IoError if the range's end is not addressable.
   void write_at(const std::string& name, std::uint64_t offset,
                 std::span<const std::byte> data) {
     auto& obj = find_mut(name);
+    if (data.size() > std::numeric_limits<std::uint64_t>::max() - offset) {
+      throw IoError("write past addressable end of " + name + ": offset " +
+                    std::to_string(offset) + " + " +
+                    std::to_string(data.size()));
+    }
     std::uint64_t end = offset + data.size();
     if (end > obj.size()) obj.resize(end);
     std::copy(data.begin(), data.end(),
@@ -50,7 +57,7 @@ class ObjectStore {
   void read_at(const std::string& name, std::uint64_t offset,
                std::span<std::byte> out) const {
     const auto& obj = find(name);
-    if (offset + out.size() > obj.size()) {
+    if (offset > obj.size() || out.size() > obj.size() - offset) {
       throw IoError("read past end of " + name + ": offset " +
                     std::to_string(offset) + " + " +
                     std::to_string(out.size()) + " > " +

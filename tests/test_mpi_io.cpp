@@ -656,6 +656,27 @@ TEST(MpiIoFile, ZeroSieveBufferIsRejectedAtOpen) {
   });
 }
 
+TEST(MpiIoFile, NegativeCbNodesIsRejectedAtOpen) {
+  // cb_nodes < 0 leaves no aggregator: a collective write would move no
+  // bytes and report no error.  The open refuses it, naming the hint.
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  Runtime rt(rparams(2));
+  rt.run([&](Comm& c) {
+    Hints h;
+    h.cb_nodes = -1;
+    try {
+      File f(c, fs, "cbn", pfs::OpenMode::kCreate, h);
+      ADD_FAILURE() << "File accepted cb_nodes == -1";
+      f.write_at_all(static_cast<std::uint64_t>(c.rank()) * 32,
+                     iota_bytes(32));
+      f.close();
+    } catch (const LogicError& e) {
+      EXPECT_NE(std::string(e.what()).find("cb_nodes"), std::string::npos)
+          << e.what();
+    }
+  });
+}
+
 TEST(MpiIoFile, ZeroByteOpsAreNoops) {
   pfs::LocalFs fs(pfs::LocalFsParams{});
   Runtime rt(rparams(2));

@@ -1,6 +1,8 @@
 // Unit tests for the network cost model and the storage primitives.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "net/network.hpp"
 #include "sim/engine.hpp"
 #include "stor/disk.hpp"
@@ -143,6 +145,19 @@ TEST(ObjectStore, ReadPastEndThrows) {
   os.create("a");
   std::vector<std::byte> out(1);
   EXPECT_THROW(os.read_at("a", 0, out), IoError);
+}
+
+TEST(ObjectStore, WrappingRangesThrow) {
+  // offset + size wraps past 2^64: the end must not pass the bounds check
+  // (a wrapped read end) or skip the resize (a wrapped write end).
+  stor::ObjectStore os;
+  os.create("a");
+  os.write_at("a", 0, std::vector<std::byte>(16));
+  const std::uint64_t near_end = std::numeric_limits<std::uint64_t>::max() - 3;
+  std::vector<std::byte> buf(8);
+  EXPECT_THROW(os.read_at("a", near_end, buf), IoError);
+  EXPECT_THROW(os.write_at("a", near_end, buf), IoError);
+  EXPECT_EQ(os.size("a"), 16u);
 }
 
 TEST(ObjectStore, MissingObjectThrows) {

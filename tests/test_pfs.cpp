@@ -4,6 +4,7 @@
 // local-disk scaling).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -168,6 +169,20 @@ TEST(LocalFs, ReadPastEofThrowsWithContext) {
       EXPECT_NE(what.find("EOF"), std::string::npos) << what;
       EXPECT_NE(what.find(std::to_string(fd)), std::string::npos) << what;
     }
+    fs.close(fd);
+  });
+}
+
+TEST(LocalFs, WrappingReadRangeThrows) {
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  Engine::run(opts(1), [&](Proc&) {
+    int fd = fs.open("f", OpenMode::kCreate);
+    fs.write_at(fd, 0, pattern(16));
+    // offset + 8 wraps to 4, inside the file: still past EOF.
+    std::vector<std::byte> out(8);
+    EXPECT_THROW(
+        fs.read_at(fd, std::numeric_limits<std::uint64_t>::max() - 3, out),
+        IoError);
     fs.close(fd);
   });
 }

@@ -16,12 +16,14 @@
 //     and retains the staged bytes — no silent data loss.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "amr/particles_par.hpp"
+#include "base/byte_io.hpp"
 #include "check/io_checker.hpp"
 #include "enzo/backends.hpp"
 #include "enzo/checkpoint.hpp"
@@ -641,6 +643,51 @@ TEST(StageRecover, TornTailIsDiscardedCommittedRecordsSurvive) {
   EXPECT_EQ(f, pattern(1000, 1));
   // g's only record was torn: the file never became visible.
   EXPECT_FALSE(staged2.store().exists("g"));
+}
+
+TEST(StageRecover, WrappingRecordLengthsStopTheChain) {
+  // A crafted record after a good one: its payload length makes the header
+  // + path + payload sum wrap, or its offset + payload length wraps.  Either
+  // way recover() must stop the chain there, keeping what came before.
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  const std::pair<std::uint64_t, std::uint64_t> bad[] = {
+      {0, max - 28},     // 28 header + 1 path byte + length wraps to 0
+      {max - 3, 8},      // offset + length wraps to 4
+  };
+  for (const auto& [offset, payload_len] : bad) {
+    TierPair t;
+    {
+      StagedFs staged(StagedFsParams{}, t.staging, t.dest);
+      sim::Engine::Options opts;
+      opts.nprocs = 1;
+      sim::Engine::run(opts, [&](sim::Proc&) {
+        int f = staged.open("f", pfs::OpenMode::kCreate);
+        staged.write_at(f, 0, pattern(1000, 1));
+        staged.close(f);
+      });
+    }
+    const std::string seg = ".stage/r0/seg0";
+    std::vector<std::byte> raw(t.staging.store().size(seg));
+    t.staging.store().read_at(seg, 0, raw);
+    ByteWriter w;
+    w.bytes(raw);
+    w.bytes(std::span<const std::byte>(raw).first(4));  // record magic
+    w.u32(0);                                           // data record
+    w.u32(1);                                           // path "g"
+    w.u64(offset);
+    w.u64(payload_len);
+    w.bytes(std::as_bytes(std::span("g", 1)));
+    w.bytes(pattern(8, 2));
+    t.staging.store().write_at(seg, 0, w.take());
+
+    StagedFs staged2(StagedFsParams{}, t.staging, t.dest);
+    staged2.recover();
+    ASSERT_TRUE(staged2.store().exists("f")) << "offset " << offset;
+    std::vector<std::byte> f(staged2.store().size("f"));
+    staged2.store().read_at("f", 0, f);
+    EXPECT_EQ(f, pattern(1000, 1)) << "offset " << offset;
+    EXPECT_FALSE(staged2.store().exists("g")) << "offset " << offset;
+  }
 }
 
 TEST(StageRecover, RemoveTombstoneStopsResurrection) {
