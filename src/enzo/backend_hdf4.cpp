@@ -6,7 +6,6 @@
 #include "enzo/dump_common.hpp"
 #include "enzo/hierarchy_file.hpp"
 #include "hdf4/sd_file.hpp"
-#include "mpi/io/deferred_scope.hpp"
 #include "obs/profiler.hpp"
 
 namespace paramrio::enzo {
@@ -193,8 +192,6 @@ void Hdf4SerialBackend::write_dump(mpi::Comm& comm,
     parts = comm.gatherv(packed, 0);
   }
 
-  // Virtual completion time of rank 0's deferred top-grid write (< 0: none).
-  double top_completion = -1.0;
   if (comm.rank() == 0) {
     amr::ParticleSet all;
     {
@@ -212,52 +209,30 @@ void Hdf4SerialBackend::write_dump(mpi::Comm& comm,
     meta.n_particles = all.size();
     meta.hierarchy = state.hierarchy;
 
-    auto write_top = [&] {
-      hdf4::SdFile top = hdf4::SdFile::create(fs_, base + ".topgrid");
-      top.write_attribute("metadata", meta.serialize());
-      const auto& dims = state.config.root_dims;
-      for (int f = 0; f < amr::kNumBaryonFields; ++f) {
-        auto u = static_cast<std::size_t>(f);
-        top.write_dataset(amr::baryon_field_names()[u],
-                          hdf4::NumberType::kFloat32,
-                          {dims[0], dims[1], dims[2]}, full[u].bytes());
-      }
-      for (std::size_t a = 0; a < kNumParticleArrays; ++a) {
-        std::vector<std::byte> buf(all.size() * kParticleArrays[a].elem_size);
-        particle_array_to_bytes(all, a, 0, all.size(), buf.data());
-        top.write_dataset(kParticleArrays[a].name, particle_number_type(a),
-                          {all.size()}, buf);
-      }
-      top.close();
-      // The human-readable hierarchy file real ENZO writes beside each dump.
-      write_hierarchy_file(fs_, base + ".hierarchy", state.hierarchy,
-                           state.time, state.cycle);
-    };
-    if (overlap_ && sim::in_simulation()) {
-      // Defer the serial top-grid flush: rank 0 joins the barrier at its
-      // pre-I/O clock, so the other P-1 ranks start their subgrid files
-      // while the top-grid file is still flushing; rank 0 settles below.
-      sim::Proc& proc = sim::current_proc();
-      mpi::io::DeferredScope defer(proc);
-      OBS_SPAN("hdf4.topgrid_write", sim::TimeCategory::kIo);
-      write_top();
-      top_completion = defer.end();
-    } else {
-      OBS_SPAN("hdf4.topgrid_write", sim::TimeCategory::kIo);
-      write_top();
+    OBS_SPAN("hdf4.topgrid_write", sim::TimeCategory::kIo);
+    hdf4::SdFile top = hdf4::SdFile::create(fs_, base + ".topgrid");
+    top.write_attribute("metadata", meta.serialize());
+    const auto& dims = state.config.root_dims;
+    for (int f = 0; f < amr::kNumBaryonFields; ++f) {
+      auto u = static_cast<std::size_t>(f);
+      top.write_dataset(amr::baryon_field_names()[u],
+                        hdf4::NumberType::kFloat32,
+                        {dims[0], dims[1], dims[2]}, full[u].bytes());
     }
+    for (std::size_t a = 0; a < kNumParticleArrays; ++a) {
+      std::vector<std::byte> buf(all.size() * kParticleArrays[a].elem_size);
+      particle_array_to_bytes(all, a, 0, all.size(), buf.data());
+      top.write_dataset(kParticleArrays[a].name, particle_number_type(a),
+                        {all.size()}, buf);
+    }
+    top.close();
+    // The human-readable hierarchy file real ENZO writes beside each dump.
+    write_hierarchy_file(fs_, base + ".hierarchy", state.hierarchy,
+                         state.time, state.cycle);
   }
   {
     OBS_SPAN("hdf4.barrier", sim::TimeCategory::kComm);
     comm.barrier();
-  }
-  if (top_completion >= 0.0 && sim::in_simulation()) {
-    // Rank 0's in-flight top-grid write completes here; the barrier wait
-    // hid part (often all) of it.
-    obs::record_wait(obs::WaitKind::kSettleWait,
-                     sim::current_proc().now(), top_completion);
-    sim::current_proc().clock_at_least(top_completion,
-                                       sim::TimeCategory::kIo);
   }
 
   // ---- subgrids: each processor writes its own files, no communication ---

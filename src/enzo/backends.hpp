@@ -13,12 +13,7 @@ namespace paramrio::enzo {
 /// top-grid; one file per subgrid written by its owner.
 class Hdf4SerialBackend final : public IoBackend {
  public:
-  /// `overlap` defers rank 0's top-grid dataset writes on the shadow clock:
-  /// the post-gather barrier then releases the other ranks into their
-  /// subgrid-file writes while the top-grid file is still flushing.  Off by
-  /// default (byte- and time-identical to the serial original).
-  explicit Hdf4SerialBackend(pfs::FileSystem& fs, bool overlap = false)
-      : fs_(fs), overlap_(overlap) {}
+  explicit Hdf4SerialBackend(pfs::FileSystem& fs) : fs_(fs) {}
   std::string name() const override { return "hdf4"; }
   void write_dump(mpi::Comm& comm, const SimulationState& state,
                   const std::string& base) override;
@@ -29,7 +24,6 @@ class Hdf4SerialBackend final : public IoBackend {
 
  private:
   pfs::FileSystem& fs_;
-  bool overlap_ = false;
 };
 
 /// The paper's optimised MPI-IO port: one shared file, collective two-phase

@@ -1,5 +1,6 @@
 #include "enzo/checkpoint.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "base/byte_io.hpp"
@@ -15,6 +16,12 @@ namespace {
 constexpr std::uint64_t kMarkerMagic = 0x434b50542d4f4b21ULL;
 
 }  // namespace
+
+bool valid_commit_marker(std::span<const std::byte> raw, std::uint64_t gen) {
+  if (raw.size() != kCommitMarkerBytes) return false;
+  ByteReader r(raw);
+  return r.u64() == kMarkerMagic && r.u64() == gen;
+}
 
 void CheckpointSeries::dump(mpi::Comm& comm, const SimulationState& state,
                             std::uint64_t gen) {
@@ -60,11 +67,10 @@ bool CheckpointSeries::committed(std::uint64_t gen) const {
   const auto& store = fs_.store();
   const std::string marker = marker_path(gen);
   if (!store.exists(marker)) return false;
-  std::vector<std::byte> raw(store.size(marker));
-  if (raw.size() != 16) return false;
+  std::vector<std::byte> raw(
+      std::min(store.size(marker), kCommitMarkerBytes + 1));
   store.read_at(marker, 0, raw);
-  ByteReader r(raw);
-  return r.u64() == kMarkerMagic && r.u64() == gen;
+  return valid_commit_marker(raw, gen);
 }
 
 bool CheckpointSeries::torn(std::uint64_t gen) const {

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "enzo/io_backend.hpp"
@@ -31,6 +32,15 @@
 #include "stage/staged_fs.hpp"
 
 namespace paramrio::enzo {
+
+/// Size of a commit marker: the format magic, then the generation number.
+inline constexpr std::uint64_t kCommitMarkerBytes = 16;
+
+/// True when `raw` is exactly the commit marker of generation `gen`.  The
+/// one parser of the format: CheckpointSeries and query::Service both call
+/// it.  A reader passes up to kCommitMarkerBytes + 1 bytes so an oversized
+/// marker is rejected too.
+bool valid_commit_marker(std::span<const std::byte> raw, std::uint64_t gen);
 
 class CheckpointSeries {
  public:

@@ -21,8 +21,10 @@ std::string retry_key(const RetryPolicy& policy) {
   if (!policy.enabled()) return "r0";
   std::ostringstream os;
   os << "r" << policy.max_retries << ",b" << policy.backoff_base << ",f"
-     << policy.backoff_factor << ",m" << policy.backoff_max << ",v"
-     << (policy.verify_short_writes ? 1 : 0);
+     << policy.backoff_factor << ",m" << policy.backoff_max
+     // ",v1": short-write verification, once optional; kept so registry
+     // scope names stay stable.
+     << ",v1";
   return os.str();
 }
 

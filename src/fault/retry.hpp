@@ -28,9 +28,6 @@ struct RetryPolicy {
   double backoff_factor = 2.0;
   /// Ceiling on a single delay, in virtual seconds.
   double backoff_max = 0.1;
-  /// Read back the landed prefix of a retryable short write and compare it
-  /// against the source buffer before resuming (mpi::io::File only).
-  bool verify_short_writes = true;
   /// Record every backoff delay in RetryStats::delay_log (tests).
   bool log_delays = false;
 
@@ -55,7 +52,7 @@ struct RetryStats {
   std::uint64_t transient_errors = 0;     ///< TransientIoError observed
   std::uint64_t short_writes = 0;         ///< writes that landed short
   std::uint64_t short_reads = 0;          ///< reads that returned short
-  std::uint64_t write_verifications = 0;  ///< short-write read-back checks
+  std::uint64_t write_verifications = 0;  ///< full short-write read-backs
   double backoff_seconds = 0.0;           ///< total virtual backoff slept
   std::vector<RetryDelay> delay_log;      ///< filled when log_delays is set
 };

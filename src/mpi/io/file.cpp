@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "mpi/io/deferred_scope.hpp"
 #include "obs/profiler.hpp"
 #include "verify/verify.hpp"
 
@@ -80,11 +79,8 @@ void File::close() {
   drop_prefetch();
   // In-flight independent ops the caller never waited on finish here; no
   // saved-time credit (wait() is where hiding is accounted), just the stall.
-  if (sim::in_simulation() && inflight_horizon_ > 0.0) {
-    obs::record_wait(obs::WaitKind::kSettleWait,
-                     sim::current_proc().now(), inflight_horizon_);
-    sim::current_proc().clock_at_least(inflight_horizon_,
-                                       sim::TimeCategory::kIo);
+  if (sim::in_simulation()) {
+    obs::settle(inflight_horizon_, obs::WaitKind::kSettleWait);
   }
   if (verify::Verifier* v = verify::verifier()) {
     v->on_file_close(path_, comm_.rank(), leaked_requests, leaked_prefetches,
@@ -177,7 +173,7 @@ void File::note_collective(const char* op, std::uint64_t data_bytes) const {
 // budget per operation.  Short transfers are always resumed (silently
 // accepting a short write would corrupt the file); when hints.retry is
 // enabled, transient errors are absorbed with virtual-clock backoff and the
-// landed prefix of a short write is read back before it is resumed.
+// landed prefix of a short write is read back in full before it is resumed.
 
 void File::fs_read(std::uint64_t offset, std::span<std::byte> out) {
   fault::Retry(hints_.retry, stats_.retry, retry_op_serial_++)
@@ -190,33 +186,25 @@ void File::fs_read(std::uint64_t offset, std::span<std::byte> out) {
 }
 
 void File::fs_write(std::uint64_t offset, std::span<const std::byte> data) {
-  std::vector<std::byte> verify;
+  std::vector<std::byte> landed;
   const auto step = [&](std::uint64_t done) {
     const std::uint64_t wrote =
         fs_.write_at(fd_, offset + done, data.subspan(done));
     if (wrote == data.size() - done) return wrote;
     stats_.retry.short_writes += 1;
-    if (!hints_.retry.enabled() || !hints_.retry.verify_short_writes ||
-        wrote == 0) {
-      return wrote;
-    }
-    // Read the landed prefix back before resuming behind it: a short write
-    // that also corrupted its prefix must be redone, not resumed, and the
-    // redo draws on the retry budget like a transient error.
-    verify.resize(wrote);
-    bool mismatch = false;
-    try {
-      const std::uint64_t vgot =
-          fs_.read_at(fd_, offset + done, std::span<std::byte>(verify));
-      stats_.retry.write_verifications += 1;
-      mismatch = !std::equal(
-          verify.begin(), verify.begin() + static_cast<std::ptrdiff_t>(vgot),
-          data.begin() + static_cast<std::ptrdiff_t>(done));
-    } catch (const TransientIoError&) {
-      // The verification read itself failed transiently; the landed prefix
-      // is still the store's truth, so resume optimistically.
-    }
-    if (mismatch) {
+    if (!hints_.retry.enabled() || wrote == 0) return wrote;
+    // Read the whole landed prefix back before resuming behind it, resuming
+    // a short read.  A prefix that does not compare equal, or whose read
+    // fails transiently, is written again: the error reaches the retry
+    // budget like a failed write.
+    landed.resize(wrote);
+    fault::transfer(wrote, path_, [&](std::uint64_t got) {
+      return fs_.read_at(fd_, offset + done + got,
+                         std::span<std::byte>(landed).subspan(got));
+    });
+    stats_.retry.write_verifications += 1;
+    if (!std::equal(landed.begin(), landed.end(),
+                    data.begin() + static_cast<std::ptrdiff_t>(done))) {
       throw TransientIoError("write_at(" + path_ + "): verification mismatch");
     }
     return wrote;
@@ -341,7 +329,7 @@ void File::read_at(std::uint64_t offset, std::span<std::byte> buf) {
     for (auto it = prefetched_.begin(); it != prefetched_.end(); ++it) {
       if (it->segs == segs) {
         stats_.prefetch_hits += 1;
-        settle_deferred(it->issued, it->completion);
+        settle_deferred(it->op);
         std::copy(it->data.begin(), it->data.end(), buf.begin());
         comm_.charge_memcpy(buf.size());
         prefetched_.erase(it);
@@ -567,26 +555,22 @@ bool File::overlap_enabled() const {
          !sim::current_proc().deferred();
 }
 
-void File::settle_deferred(double issued, double completion) {
+void File::settle_deferred(const obs::InFlight& op) {
   if (!sim::in_simulation()) return;
   sim::Proc& proc = sim::current_proc();
   const double now_before = proc.now();
-  const double hidden = std::min(completion, now_before) - issued;
-  if (hidden > 0.0) stats_.overlap_saved_time += hidden;
-  // Whatever the overlap did not hide is a stall waiting for the in-flight
-  // window/request to land — the deferred-settle wait-for edge.
-  obs::record_wait(obs::WaitKind::kSettleWait, now_before, completion);
-  proc.clock_at_least(completion, sim::TimeCategory::kIo);
+  const double hidden = obs::settle(op, obs::WaitKind::kSettleWait);
+  stats_.overlap_saved_time += hidden;
   if (verify::Verifier* v = verify::verifier()) {
-    v->on_file_settle(path_, comm_.rank(), issued, completion,
-                      hidden > 0.0 ? hidden : 0.0, now_before, proc.now());
+    v->on_file_settle(path_, comm_.rank(), op.issued, op.completion, hidden,
+                      now_before, proc.now());
   }
 }
 
 void File::drain_collective() {
-  if (collective_pending_completion_ < 0.0) return;
-  settle_deferred(collective_pending_issue_, collective_pending_completion_);
-  collective_pending_completion_ = -1.0;
+  if (!collective_pending_) return;
+  settle_deferred(*collective_pending_);
+  collective_pending_.reset();
 }
 
 void File::invalidate_prefetch(const std::vector<Segment>& segs) {
@@ -617,35 +601,34 @@ void File::drop_prefetch() {
   prefetched_.clear();
 }
 
-double File::issue_deferred(
-    double* issued, const std::function<double(DeferredScope&)>& body) {
-  sim::Proc& proc = sim::current_proc();
-  *issued = proc.now();
-  DeferredScope defer(proc);
-  const double completion = body(defer);
+obs::InFlight File::issue_deferred(const char* span,
+                                   const std::function<void()>& io) {
+  obs::Deferral defer(sim::current_proc(), span);
+  io();
+  const obs::InFlight op = defer.finish();
   if (verify::Verifier* v = verify::verifier()) {
-    v->on_file_deferred_issue(path_, comm_.rank(), *issued, completion);
+    v->on_file_deferred_issue(path_, comm_.rank(), op.issued, op.completion);
   }
-  return completion;
+  inflight_horizon_.cover(op);
+  return op;
 }
 
 Request File::issue_request(
-    std::uint64_t offset, std::uint64_t len,
-    const std::function<double(DeferredScope&, const std::vector<Segment>&)>&
-        io) {
+    const char* span, std::uint64_t offset, std::uint64_t len,
+    const std::function<void(const std::vector<Segment>&)>& io) {
   flush();  // keep file order with this rank's buffered writes
   stats_.independent_ops += 1;
   const auto segs = map_view(offset, len);
   invalidate_prefetch(segs);
   Request req;
-  req.completion_ = issue_deferred(
-      &req.issued_, [&](DeferredScope& defer) { return io(defer, segs); });
-  req.active_ = true;
+  req.op_ = issue_deferred(span, [&] {
+    obs::span_counter("bytes", len);
+    io(segs);
+  });
   pending_requests_ += 1;
   obs::gauge_int("rank" + std::to_string(sim::current_proc().global_rank()) +
                      "/mpiio_outstanding",
                  pending_requests_);
-  inflight_horizon_ = std::max(inflight_horizon_, req.completion_);
   return req;
 }
 
@@ -656,13 +639,8 @@ Request File::iread_at(std::uint64_t offset, std::span<std::byte> buf) {
     read_at(offset, buf);
     return {};  // completed synchronously; inactive
   }
-  return issue_request(offset, buf.size(),
-                       [&](DeferredScope& defer, const auto& segs) {
-                         OBS_SPAN("mpiio.iread", sim::TimeCategory::kIo);
-                         obs::span_counter("bytes", buf.size());
-                         independent_read(segs, buf);
-                         return defer.end();
-                       });
+  return issue_request("mpiio.iread", offset, buf.size(),
+                       [&](const auto& segs) { independent_read(segs, buf); });
 }
 
 Request File::iwrite_at(std::uint64_t offset, std::span<const std::byte> buf) {
@@ -672,18 +650,12 @@ Request File::iwrite_at(std::uint64_t offset, std::span<const std::byte> buf) {
     write_at(offset, buf);
     return {};  // completed synchronously; inactive
   }
-  return issue_request(offset, buf.size(),
-                       [&](DeferredScope& defer, const auto& segs) {
-                         OBS_SPAN("mpiio.iwrite", sim::TimeCategory::kIo);
-                         obs::span_counter("bytes", buf.size());
-                         independent_write(segs, buf);
-                         return defer.end();
-                       });
+  return issue_request("mpiio.iwrite", offset, buf.size(),
+                       [&](const auto& segs) { independent_write(segs, buf); });
 }
 
 void File::wait(Request& req) {
-  if (!req.active_) return;
-  req.active_ = false;
+  if (!req.op_) return;
   if (pending_requests_ > 0) pending_requests_ -= 1;
   if (sim::in_simulation()) {
     obs::gauge_int(
@@ -691,7 +663,8 @@ void File::wait(Request& req) {
             "/mpiio_outstanding",
         pending_requests_);
   }
-  settle_deferred(req.issued_, req.completion_);
+  settle_deferred(*req.op_);
+  req.op_.reset();
 }
 
 void File::wait_all(std::span<Request> reqs) {
@@ -735,13 +708,10 @@ void File::prefetch(std::uint64_t offset, std::uint64_t len) {
   PrefetchEntry entry;
   entry.segs = std::move(segs);
   entry.data.resize(len);
-  entry.completion = issue_deferred(&entry.issued, [&](DeferredScope& defer) {
-    OBS_SPAN("mpiio.prefetch", sim::TimeCategory::kIo);
+  entry.op = issue_deferred("mpiio.prefetch", [&] {
     obs::span_counter("bytes", len);
     independent_read(entry.segs, std::span<std::byte>(entry.data));
-    return defer.end();
   });
-  inflight_horizon_ = std::max(inflight_horizon_, entry.completion);
   prefetched_.push_back(std::move(entry));
 }
 

@@ -29,11 +29,10 @@
 #include "fault/retry.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/datatype.hpp"
+#include "obs/inflight.hpp"
 #include "pfs/filesystem.hpp"
 
 namespace paramrio::mpi::io {
-
-class DeferredScope;
 
 struct Hints {
   /// cb_align == kCbAlignAuto: query the file system's Layout and align
@@ -66,10 +65,10 @@ struct Hints {
   /// transfers, server outages).  Default-off: transient errors propagate.
   /// When enabled, every fs access a File performs — independent, sieved,
   /// write-behind flush and two-phase aggregator I/O — retries with
-  /// exponential virtual-clock backoff, short transfers are resumed (with a
-  /// read-back verification of the landed prefix when verify_short_writes
-  /// is set), and collective calls degrade to independent access while the
-  /// fault layer reports an I/O-server outage.
+  /// exponential virtual-clock backoff, short transfers are resumed (a short
+  /// write only after its landed prefix reads back intact), and collective
+  /// calls degrade to independent access while the fault layer reports an
+  /// I/O-server outage.
   fault::RetryPolicy retry;
 
   /// Overlap communication and file I/O.  When set, two-phase collective
@@ -161,13 +160,11 @@ class Request {
   Request() = default;
   /// True until the request has been waited on (a default-constructed or
   /// already-completed request is inactive; waiting on it is a no-op).
-  bool active() const { return active_; }
+  bool active() const { return op_.has_value(); }
 
  private:
   friend class File;
-  double issued_ = 0.0;
-  double completion_ = 0.0;
-  bool active_ = false;
+  std::optional<obs::InFlight> op_;
 };
 
 class File {
@@ -279,20 +276,17 @@ class File {
   void two_phase(bool is_write, const std::vector<Segment>& segs,
                  std::span<std::byte> rbuf, std::span<const std::byte> wbuf);
 
-  /// Run `body` as in-flight work on the deferred (shadow) clock: stores the
-  /// issue time in `*issued`, reports the operation to the verifier and
-  /// returns its completion.  `body` ends the scope itself (`return
-  /// defer.end();`) inside any span it opens, so that span closes on the
-  /// real clock like every other in-flight span.
-  double issue_deferred(double* issued,
-                        const std::function<double(DeferredScope&)>& body);
+  /// Run `io` as in-flight work on the deferred (shadow) clock inside the
+  /// async span `span`, report it to the verifier, extend the close horizon
+  /// and return it.
+  obs::InFlight issue_deferred(const char* span,
+                               const std::function<void()>& io);
 
   /// Shared tail of iread_at/iwrite_at: flush, map the range, issue `io`
-  /// deferred and track the returned active request.
+  /// deferred inside `span` and track the returned active request.
   Request issue_request(
-      std::uint64_t offset, std::uint64_t len,
-      const std::function<double(DeferredScope&, const std::vector<Segment>&)>&
-          io);
+      const char* span, std::uint64_t offset, std::uint64_t len,
+      const std::function<void(const std::vector<Segment>&)>& io);
 
   /// All fs data access goes through these: they resume short transfers
   /// (ROMIO's POSIX-style write loop, always on), verify the landed prefix
@@ -319,10 +313,9 @@ class File {
   /// collective `op` carrying `data_bytes` of payload.
   void note_collective(const char* op, std::uint64_t data_bytes) const;
 
-  /// Settle a deferred operation issued at `issued` completing at
-  /// `completion`: credit the hidden portion to overlap_saved_time and
-  /// charge the rest as kIo stall.
-  void settle_deferred(double issued, double completion);
+  /// Settle a deferred operation: credit the hidden portion to
+  /// overlap_saved_time and charge the rest as kIo stall.
+  void settle_deferred(const obs::InFlight& op);
 
   /// Wait any collective window I/O left in flight by a pipelined
   /// two_phase (no-op otherwise).
@@ -374,20 +367,18 @@ class File {
   struct PrefetchEntry {
     std::vector<Segment> segs;
     std::vector<std::byte> data;
-    double issued = 0.0;
-    double completion = 0.0;
+    obs::InFlight op;
   };
   std::vector<PrefetchEntry> prefetched_;
 
-  /// Completion horizon of the pipelined two-phase window(s) still in
-  /// flight (< 0: none); split-collective state.
-  double collective_pending_issue_ = 0.0;
-  double collective_pending_completion_ = -1.0;
+  /// The pipelined two-phase window still in flight; split-collective
+  /// state.
+  std::optional<obs::InFlight> collective_pending_;
   bool split_active_ = false;
 
-  /// Latest completion of any deferred op (close() drains to here so the
-  /// file is only "closed" once all in-flight I/O has virtually finished).
-  double inflight_horizon_ = 0.0;
+  /// Horizon of every deferred op (close() drains to here so the file is
+  /// only "closed" once all in-flight I/O has virtually finished).
+  obs::InFlight inflight_horizon_;
 
   /// Requests issued but not yet waited (wait() decrements); close() counts
   /// what is left as requests_leaked_at_close.

@@ -31,7 +31,6 @@
 #include <cstring>
 
 #include "fault/fault.hpp"
-#include "mpi/io/deferred_scope.hpp"
 #include "mpi/io/file.hpp"
 #include "obs/profiler.hpp"
 #include "verify/verify.hpp"
@@ -201,13 +200,12 @@ struct DomainGeometry {
 };
 
 /// One aggregator window: its file ranges, every rank's pieces in it, and
-/// (pipelined) its file I/O in flight (completion < 0: none).
+/// (pipelined) its file I/O in flight.
 struct Window {
   std::vector<WindowRange> ranges;
   std::vector<std::vector<Piece>> want;  ///< per rank, in file order
   std::uint64_t total = 0;               ///< bytes over all ranks
-  double issued = 0.0;
-  double completion = -1.0;
+  std::optional<obs::InFlight> io;
 };
 
 DomainGeometry make_geometry(std::uint64_t st, std::uint64_t end,
@@ -447,16 +445,12 @@ void File::two_phase(bool is_write, const std::vector<Segment>& segs,
       return;
     }
     stats_.overlap_windows += 1;
-    w.completion = issue_deferred(&w.issued, [&](DeferredScope& defer) {
-      OBS_SPAN("two_phase.io", sim::TimeCategory::kIo);
-      io();
-      return defer.end();
-    });
+    w.io = issue_deferred("two_phase.io", io);
   };
   auto settle = [&](Window& w) {
-    if (w.completion < 0.0) return;
-    settle_deferred(w.issued, w.completion);
-    w.completion = -1.0;
+    if (!w.io) return;
+    settle_deferred(*w.io);
+    w.io.reset();
   };
 
   // `cur` is the window being shipped (reads) or whose write is in flight
@@ -563,13 +557,10 @@ void File::two_phase(bool is_write, const std::vector<Segment>& segs,
     }
   }
 
-  if (cur.completion >= 0.0) {
-    // The final window's write stays in flight: blocking collectives drain
-    // it on return, split collectives at their end call — by which point
-    // the caller's post-begin work may have hidden it entirely.
-    collective_pending_issue_ = cur.issued;
-    collective_pending_completion_ = cur.completion;
-  }
+  // The final window's write stays in flight: blocking collectives drain it
+  // on return, split collectives at their end call — by which point the
+  // caller's post-begin work may have hidden it entirely.
+  collective_pending_ = cur.io;
 }
 
 }  // namespace paramrio::mpi::io

@@ -41,7 +41,9 @@ Report build_report(const Collector& c, int min_depth, int max_depth) {
   std::map<int, RankBreakdown> ranks;
 
   for (const SpanRecord& s : c.spans()) {
-    if (s.depth == 0) {
+    // Async (in-flight) spans overlap the rank's own time; they are not
+    // part of its wall total.
+    if (s.depth == 0 && !s.async) {
       RankBreakdown& rb = ranks[s.rank];
       rb.rank = s.rank;
       rb.total_time += s.duration();

@@ -11,10 +11,11 @@ std::optional<SharedCache::Found> SharedCache::lookup(const Key& key) {
   ++hits_;
   hit_bytes_ += it->second.data->size();
   lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  return Found{it->second.data, it->second.ready_time};
+  return Found{it->second.data, it->second.fetch};
 }
 
-void SharedCache::insert(const Key& key, BlockData data, double ready_time) {
+void SharedCache::insert(const Key& key, BlockData data,
+                         const obs::InFlight& fetch) {
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     current_bytes_ -= it->second.data->size();
@@ -27,7 +28,7 @@ void SharedCache::insert(const Key& key, BlockData data, double ready_time) {
   lru_.push_front(key);
   Entry e;
   e.data = std::move(data);
-  e.ready_time = ready_time;
+  e.fetch = fetch;
   e.lru_it = lru_.begin();
   entries_.emplace(key, std::move(e));
 }

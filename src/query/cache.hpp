@@ -9,9 +9,9 @@
 //
 // The cache itself is a plain deterministic LRU byte store: all simulated
 // timing (fetch cost, hit copy cost, waiter blocking, prefetch settling)
-// lives in query::Service.  Entries carry the *virtual completion time* of
-// the fetch that produced them so a reader hitting a still-in-flight
-// prefetched block can settle to it (Proc::clock_at_least) before copying.
+// lives in query::Service.  Entries carry the fetch that produced them
+// (obs::InFlight) so a reader hitting a still-in-flight prefetched block can
+// settle it (obs::settle) before copying.
 //
 // Blocks are handed out as shared_ptr so an entry evicted mid-copy stays
 // alive for the reader holding it.
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "base/units.hpp"
+#include "obs/inflight.hpp"
 
 namespace paramrio::query {
 
@@ -45,7 +46,7 @@ class SharedCache {
 
   struct Found {
     BlockData data;
-    double ready_time = 0.0;  ///< virtual completion time of the fetch
+    obs::InFlight fetch;  ///< the fetch that produced the block
   };
 
   explicit SharedCache(std::uint64_t capacity_bytes = 256 * MiB)
@@ -60,7 +61,7 @@ class SharedCache {
   /// Insert (or replace) a block, evicting least-recently-used entries
   /// until the new total fits the capacity.  An oversized single block is
   /// still cached alone.
-  void insert(const Key& key, BlockData data, double ready_time);
+  void insert(const Key& key, BlockData data, const obs::InFlight& fetch);
 
   /// Drop every block of `path` (namespace events; not used on the normal
   /// read path — committed generations are immutable).
@@ -79,7 +80,7 @@ class SharedCache {
  private:
   struct Entry {
     BlockData data;
-    double ready_time = 0.0;
+    obs::InFlight fetch;
     std::list<Key>::iterator lru_it;
   };
 

@@ -4,18 +4,12 @@
 #include <cstring>
 #include <sstream>
 
-#include "base/byte_io.hpp"
+#include "enzo/checkpoint.hpp"
 #include "fault/retry.hpp"
-#include "mpi/io/deferred_scope.hpp"
-#include "obs/profiler.hpp"
+#include "obs/inflight.hpp"
 #include "sim/engine.hpp"
 
 namespace paramrio::query {
-
-namespace {
-// "CKPT-OK!" — CheckpointSeries' commit-marker format (checkpoint.cpp).
-constexpr std::uint64_t kMarkerMagic = 0x434b50542d4f4b21ULL;
-}  // namespace
 
 Service::Service(pfs::FileSystem& fs, std::string series_base, Params params)
     : fs_(fs),
@@ -35,16 +29,11 @@ void Service::require_committed(std::uint64_t gen) {
                   series_base_ + "' is not committed");
   }
   int fd = fs_.open(marker, pfs::OpenMode::kRead);
-  const std::uint64_t size = fs_.size(fd);
-  if (size < 16) {
-    fs_.close(fd);
-    throw IoError("query: torn commit marker " + marker);
-  }
-  std::vector<std::byte> raw(16);
+  std::vector<std::byte> raw(
+      std::min(fs_.size(fd), enzo::kCommitMarkerBytes + 1));
   timed_read(fd, 0, raw);
   fs_.close(fd);
-  ByteReader r(raw);
-  if (r.u64() != kMarkerMagic || r.u64() != gen) {
+  if (!enzo::valid_commit_marker(raw, gen)) {
     throw IoError("query: invalid commit marker " + marker);
   }
 }
@@ -143,13 +132,9 @@ SharedCache::BlockData Service::cached_block(const std::string& path,
   for (;;) {
     if (auto found = cache_.lookup(key)) {
       if (plan != nullptr) ++plan->cache_hits;
-      if (found->ready_time > proc.now()) {
-        // A prefetch published this block before its shadow-clock fetch
-        // completed; pay only the un-hidden remainder.
-        double t0 = proc.now();
-        proc.clock_at_least(found->ready_time, sim::TimeCategory::kIo);
-        obs::record_wait(obs::WaitKind::kSettleWait, t0, found->ready_time);
-      }
+      // A prefetch may have published this block before its shadow-clock
+      // fetch completed; pay only the un-hidden remainder.
+      obs::settle(found->fetch, obs::WaitKind::kSettleWait);
       return found->data;
     }
     auto in = inflight_.find(key);
@@ -165,6 +150,7 @@ SharedCache::BlockData Service::cached_block(const std::string& path,
       continue;  // re-check: hit, or fetch failed and we take over
     }
     inflight_.emplace(key, std::vector<int>{});
+    const double issued = proc.now();
     SharedCache::BlockData data;
     try {
       data = std::make_shared<const std::vector<std::byte>>(
@@ -176,7 +162,7 @@ SharedCache::BlockData Service::cached_block(const std::string& path,
     }
     ++demand_fetches_;
     if (plan != nullptr) ++plan->cache_misses;
-    cache_.insert(key, data, proc.now());
+    cache_.insert(key, data, obs::InFlight{issued, proc.now()});
     auto node = inflight_.extract(key);
     wake(node.mapped());
     return data;
@@ -235,15 +221,12 @@ void Service::execute_runs(const std::string& path,
         SharedCache::Key nkey{path, noff};
         if (!cache_.contains(nkey) &&
             inflight_.find(nkey) == inflight_.end()) {
-          sim::Proc& proc = sim::current_proc();
-          mpi::io::DeferredScope ds(proc);
+          obs::Deferral defer(sim::current_proc());
           auto bytes = fetch_block(path, noff, std::min(bs, op.size - noff));
-          double t_done = ds.end();
-          cache_.insert(
-              nkey,
-              std::make_shared<const std::vector<std::byte>>(
-                  std::move(bytes)),
-              t_done);
+          cache_.insert(nkey,
+                        std::make_shared<const std::vector<std::byte>>(
+                            std::move(bytes)),
+                        defer.finish());
           ++prefetches_;
           if (plan != nullptr) ++plan->prefetches;
         }

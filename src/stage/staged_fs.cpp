@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "base/byte_io.hpp"
-#include "obs/profiler.hpp"
+#include "obs/inflight.hpp"
 #include "obs/registry.hpp"
 
 namespace paramrio::stage {
@@ -22,29 +22,6 @@ constexpr std::uint64_t kHeaderBytes = 4 + 4 + 4 + 8 + 8;
 std::string segment_name(int rank, int no) {
   return ".stage/r" + std::to_string(rank) + "/seg" + std::to_string(no);
 }
-
-/// RAII over Proc's shadow-clock deferral — the sim-level analogue of
-/// mpi::io::DeferredScope, kept local so stage/ does not depend on mpi/.
-class DeferredRegion {
- public:
-  explicit DeferredRegion(sim::Proc& proc) : proc_(proc) {
-    proc_.begin_deferred();
-  }
-  ~DeferredRegion() {
-    if (!done_) proc_.end_deferred();
-  }
-  DeferredRegion(const DeferredRegion&) = delete;
-  DeferredRegion& operator=(const DeferredRegion&) = delete;
-  /// Leave deferral; returns the shadow-clock completion horizon.
-  double finish() {
-    done_ = true;
-    return proc_.end_deferred();
-  }
-
- private:
-  sim::Proc& proc_;
-  bool done_ = false;
-};
 
 /// RAII over background-I/O marking for the duration of a drain.
 class BackgroundRegion {
@@ -455,7 +432,6 @@ void StagedFs::drain_mine(DrainPolicy policy) {
   }
   if (items.empty()) return;
 
-  OBS_SPAN("stage.drain", sim::TimeCategory::kIo);
   const auto migrate = [&] {
     BackgroundRegion bg(proc, params_.drain_weight_scale);
     std::vector<std::byte> buf;
@@ -499,30 +475,25 @@ void StagedFs::drain_mine(DrainPolicy policy) {
   };
 
   if (policy == DrainPolicy::kSync) {
+    OBS_SPAN("stage.drain", sim::TimeCategory::kIo);
     migrate();
     return;
   }
   // Async: the bytes move now (content determinism is preserved — the
   // engine still serialises execution) but the time accrues on the shadow
   // clock; drain_settle charges whatever was not hidden behind later work.
-  DeferredRegion defer(proc);
+  obs::Deferral defer(proc, "stage.drain");
   migrate();
-  const double horizon = defer.finish();
-  double& h = drain_horizon_[rank];
-  h = std::max(h, horizon);
+  drain_inflight_[rank].cover(defer.finish());
 }
 
 void StagedFs::drain_settle() {
   if (!sim::in_simulation()) return;
-  sim::Proc& proc = sim::current_proc();
-  const auto it = drain_horizon_.find(proc.global_rank());
-  if (it == drain_horizon_.end()) return;
-  const double horizon = it->second;
-  drain_horizon_.erase(it);
-  if (horizon > proc.now()) {
-    obs::record_wait(obs::WaitKind::kDrainWait, proc.now(), horizon);
-    proc.clock_at_least(horizon, sim::TimeCategory::kIo);
-  }
+  const auto it = drain_inflight_.find(sim::current_proc().global_rank());
+  if (it == drain_inflight_.end()) return;
+  const obs::InFlight drain = it->second;
+  drain_inflight_.erase(it);
+  obs::settle(drain, obs::WaitKind::kDrainWait);
 }
 
 void StagedFs::flush_untimed() {
@@ -546,7 +517,7 @@ void StagedFs::flush_untimed() {
     if (!s.removed) gc_segment(s);
   }
   for (auto& [rank, log] : rank_logs_) log.cur_seg = -1;
-  drain_horizon_.clear();
+  drain_inflight_.clear();
 }
 
 // ---- crash recovery ------------------------------------------------------

@@ -44,6 +44,7 @@
 
 #include "base/units.hpp"
 #include "fault/retry.hpp"
+#include "obs/inflight.hpp"
 #include "pfs/filesystem.hpp"
 
 namespace paramrio::stage {
@@ -242,7 +243,7 @@ class StagedFs final : public pfs::FileSystem {
   std::map<std::string, ExtentMap> extents_;
   std::map<std::string, int> dest_read_fds_;
   std::map<std::string, int> dest_write_fds_;
-  std::map<int, double> drain_horizon_;  ///< per-rank async completion time
+  std::map<int, obs::InFlight> drain_inflight_;  ///< per-rank async drains
 
   std::uint64_t staged_bytes_ = 0;
   std::uint64_t drained_bytes_ = 0;

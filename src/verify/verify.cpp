@@ -517,7 +517,7 @@ void Verifier::on_proc_finished(int rank, bool deferred, double clock) {
            -1,
            "proc finished inside an unsettled deferred scope (shadow clock " +
                obs::format_double(clock) +
-               "); every DeferredScope must be settled before the rank "
+               "); every obs::Deferral must finish before the rank "
                "returns");
   }
 }

@@ -17,8 +17,8 @@
 //       bare "deadlock" error.
 //
 //   (b) lifecycle rules — nonblocking requests are waited before close,
-//       split-collective begin/end pairs match, DeferredScopes are settled
-//       before the rank finishes, prefetches are consumed or invalidated
+//       split-collective begin/end pairs match, every obs::Deferral has
+//       finished before the rank does, prefetches are consumed or invalidated
 //       (a leak at close is advisory: an unprofitable hint, not a bug),
 //       and no I/O is issued on a closed file.
 //

@@ -4,6 +4,7 @@
 // a fault-free run would have produced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <map>
@@ -24,6 +25,7 @@
 #include "sim/engine.hpp"
 #include "stage/staged_fs.hpp"
 #include "stor/object_store.hpp"
+#include "trace/io_tracer.hpp"
 
 namespace paramrio::fault {
 namespace {
@@ -86,10 +88,13 @@ TEST(Backoff, RetryKeyDistinguishesPolicies) {
   RetryPolicy a;
   a.max_retries = 4;
   RetryPolicy b = a;
-  b.verify_short_writes = false;
+  b.backoff_base = 1e-3;
   EXPECT_NE(retry_key(a), retry_key(off));
   EXPECT_NE(retry_key(a), retry_key(b));
   EXPECT_EQ(retry_key(a), retry_key(RetryPolicy{.max_retries = 4}));
+  // The ",v1" tail is kept from when short-write verification was optional,
+  // so registry scope names do not move.
+  EXPECT_EQ(retry_key(a), "r4,b0.0005,f2,m0.1,v1");
 }
 
 // ---------------------------------------------------------------------------
@@ -517,30 +522,83 @@ TEST(RetryGolden, MpiIoCollectivesUnderEioAndShortWrites) {
           "now=" + exact(c.proc().now()) + " " + stats_text(stats);
     });
   }
-  EXPECT_EQ(per_rank[0],
-            "now=0.017345742377622379 "
-            "retries=3 transient=3 short_w=2 short_r=2 verif=1 backoff=0.002 "
-            "log=0:0.00050000000000000001,0:0.001,1:0.00050000000000000001,");
-  EXPECT_EQ(per_rank[1],
-            "now=0.017352369044289044 "
-            "retries=3 transient=3 short_w=2 short_r=2 verif=1 backoff=0.002 "
-            "log=0:0.00050000000000000001,0:0.001,1:0.00050000000000000001,");
-  EXPECT_EQ(per_rank[2],
-            "now=0.017355742377622378 "
-            "retries=3 transient=3 short_w=2 short_r=2 verif=1 backoff=0.002 "
-            "log=0:0.00050000000000000001,0:0.001,1:0.00050000000000000001,");
-  EXPECT_EQ(per_rank[3],
-            "now=0.017342369044289044 "
-            "retries=3 transient=3 short_w=2 short_r=2 verif=1 backoff=0.002 "
-            "log=0:0.00050000000000000001,0:0.001,1:0.00050000000000000001,");
+  // Each rank's two short writes are each followed by a verification read
+  // that comes back short and whose resumed read then fails with EIO, so
+  // neither landed prefix is ever fully compared: both writes are redone
+  // (no write_verifications), the budget of 4 retries is spent on one op,
+  // and the verification reads use up read faults the read phase saw before.
+  const std::string retried =
+      "retries=4 transient=4 short_w=2 short_r=1 verif=0 "
+      "backoff=0.0074999999999999997 log=0:0.00050000000000000001,0:0.001,"
+      "0:0.002,0:0.0040000000000000001,";
+  EXPECT_EQ(per_rank[0], "now=0.016350439254079252 " + retried);
+  EXPECT_EQ(per_rank[1], "now=0.016357065920745918 " + retried);
+  EXPECT_EQ(per_rank[2], "now=0.016360439254079252 " + retried);
+  EXPECT_EQ(per_rank[3], "now=0.016347065920745918 " + retried);
   EXPECT_EQ(scope_text(col.registry(), "file:data|" + mpi::io::hints_key(h)),
             " cb_aligned_windows=0 cb_peak_window_bytes=2048 "
             "cb_straddle_windows=0 cb_token_saves=0 collective_fastpath=0 "
-            "collective_ops=8 independent_ops=0 io_retries=12 short_reads=8 "
-            "short_writes=8 sieve_windows=0 transient_io_errors=12 "
+            "collective_ops=8 independent_ops=0 io_retries=16 short_reads=4 "
+            "short_writes=8 sieve_windows=0 transient_io_errors=16 "
             "two_phase_windows=8 view_flatten_cache_hits=4 wb_absorbed=0 "
-            "wb_flushes=0 write_verifications=4 "
-            "backoff_seconds=0.0080000000000000002");
+            "wb_flushes=0 backoff_seconds=0.029999999999999999");
+}
+
+// A short write resumes only behind a landed prefix that was read back in
+// full: in the fs trace, a write starting where the previous write ended
+// must follow reads covering that whole prefix.  The first verification
+// read lands short and its resume fails with EIO, so that prefix is written
+// again; the second lands short and resumes cleanly.
+TEST(FileRetry, ShortWriteResumesOnlyBehindAFullyReadBackPrefix) {
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  using K = ScriptedFaults::Kind;
+  ScriptedFaults script({K::kShort, K::kShort},
+                        {K::kShort, K::kTransientError, K::kShort});
+  fs.attach_fault_hook(&script);
+  trace::IoTracer tracer;
+  fs.attach_observer(&tracer);
+  mpi::io::Hints h;
+  h.retry.max_retries = 4;
+  const auto data = pattern(4096, 5);
+  RetryStats stats;
+  mpi::Runtime rt(rparams(1));
+  rt.run([&](mpi::Comm& c) {
+    mpi::io::File f(c, fs, "v", pfs::OpenMode::kCreate, h);
+    f.write_at(0, data);
+    stats = f.stats().retry;
+    f.close();
+  });
+  std::vector<std::byte> stored(data.size());
+  fs.store().read_at("v", 0, stored);
+  EXPECT_EQ(stored, data);
+
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> reads;  // since prev
+  const trace::IoEvent* prev = nullptr;
+  int resumed = 0;
+  for (const trace::IoEvent& e : tracer.events()) {
+    if (!e.is_data() || e.path != "v") continue;
+    if (!e.is_write) {
+      reads.emplace_back(e.offset, e.bytes);
+      continue;
+    }
+    if (prev != nullptr && e.offset == prev->offset + prev->bytes) {
+      ++resumed;
+      std::sort(reads.begin(), reads.end());
+      std::uint64_t covered = prev->offset;
+      for (const auto& [off, len] : reads) {
+        if (off <= covered) covered = std::max(covered, off + len);
+      }
+      EXPECT_GE(covered, e.offset)
+          << "write at " << e.offset << " resumed behind a prefix read back "
+          << "only up to " << covered;
+    }
+    prev = &e;
+    reads.clear();
+  }
+  EXPECT_EQ(resumed, 1);
+  EXPECT_EQ(stats.short_writes, 2u);
+  EXPECT_EQ(stats.write_verifications, 1u);
+  EXPECT_EQ(stats.retries, 1u);
 }
 
 TEST(RetryGolden, QueryBudgetRestartsAfterEveryShortRead) {

@@ -7,9 +7,9 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "mpi/io/deferred_scope.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/histogram.hpp"
+#include "obs/inflight.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
@@ -384,13 +384,103 @@ TEST(Detail, DeferredModeWaitsAreDropped) {
   sim::Engine::run(opts(1), [&c](sim::Proc& p) {
     p.advance(0.25);
     {
-      mpi::io::DeferredScope defer(p);
+      Deferral defer(p);
       c.record_wait(p, WaitKind::kSettleWait, 0.25, 0.5);
     }
     c.record_wait(p, WaitKind::kSettleWait, 0.25, 0.75);
   });
   ASSERT_EQ(c.waits().size(), 1u);
   EXPECT_DOUBLE_EQ(c.waits()[0].t_end, 0.75);
+}
+
+// ---------------------------------------------------------------------------
+// The in-flight primitive: deferral scope, async span and settle.
+// ---------------------------------------------------------------------------
+
+TEST(InFlight, AsyncSpanEndsAtCompletionAndSettleReturnsHiddenTime) {
+  Collector c;
+  c.set_detail(true);
+  Attach guard(&c);
+  InFlight op;
+  double hidden = -1.0;
+  sim::Engine::run(opts(1), [&](sim::Proc& p) {
+    OBS_SPAN("sync", TimeCategory::kIo);
+    p.advance(1.0);
+    {
+      Deferral defer(p, "inflight");
+      span_counter("bytes", 7);
+      p.advance(3.0, TimeCategory::kIo);  // shadow clock only
+      op = defer.finish();
+    }
+    EXPECT_FALSE(p.deferred());
+    EXPECT_DOUBLE_EQ(p.now(), 1.0);
+    p.advance(1.0);  // caller work hides one of the three seconds
+    hidden = settle(op, WaitKind::kSettleWait);
+    EXPECT_DOUBLE_EQ(p.now(), 4.0);
+  });
+  EXPECT_DOUBLE_EQ(op.issued, 1.0);
+  EXPECT_DOUBLE_EQ(op.completion, 4.0);
+  EXPECT_DOUBLE_EQ(hidden, 1.0);
+  ASSERT_EQ(c.spans().size(), 2u);
+  const SpanRecord& async = c.spans()[0];
+  EXPECT_EQ(async.name, "inflight");
+  EXPECT_TRUE(async.async);
+  EXPECT_DOUBLE_EQ(async.t_start, op.issued);
+  EXPECT_DOUBLE_EQ(async.t_end, op.completion);
+  ASSERT_EQ(async.counters.size(), 1u);
+  EXPECT_EQ(async.counters[0].second, 7u);
+  ASSERT_EQ(c.waits().size(), 1u);
+  EXPECT_DOUBLE_EQ(c.waits()[0].t_start, 2.0);
+  EXPECT_DOUBLE_EQ(c.waits()[0].t_end, 4.0);
+}
+
+TEST(InFlight, UnwindingDeferralLeavesDeferredModeAndClosesItsSpan) {
+  Collector c;
+  Attach guard(&c);
+  sim::Engine::run(opts(1), [&](sim::Proc& p) {
+    try {
+      Deferral defer(p, "inflight");
+      p.advance(2.0);
+      throw IoError("budget exhausted");
+    } catch (const IoError&) {
+    }
+    EXPECT_FALSE(p.deferred());
+    EXPECT_DOUBLE_EQ(p.now(), 0.0);
+  });
+  EXPECT_TRUE(c.balanced());
+  ASSERT_EQ(c.spans().size(), 1u);
+  EXPECT_DOUBLE_EQ(c.spans()[0].t_end, 2.0);
+}
+
+TEST(InFlight, CoverSpansEveryOperationAndAFinishedOneSettlesFree) {
+  InFlight horizon{1.0, 2.0};
+  horizon.cover(InFlight{0.5, 1.5});
+  horizon.cover(InFlight{3.0, 6.0});
+  EXPECT_DOUBLE_EQ(horizon.issued, 0.5);
+  EXPECT_DOUBLE_EQ(horizon.completion, 6.0);
+  sim::Engine::run(opts(1), [&](sim::Proc& p) {
+    p.advance(7.0);
+    EXPECT_DOUBLE_EQ(settle(horizon, WaitKind::kSettleWait), 5.5);
+    EXPECT_DOUBLE_EQ(p.now(), 7.0);
+    EXPECT_DOUBLE_EQ(p.stats().io_time, 0.0);
+  });
+}
+
+TEST(Report, RankTotalsSkipAsyncTopLevelSpans) {
+  Collector c;
+  Attach guard(&c);
+  sim::Engine::run(opts(1), [](sim::Proc& p) {
+    {
+      OBS_SPAN("dump", TimeCategory::kIo);
+      p.advance(1.0, TimeCategory::kIo);
+    }
+    Deferral defer(p, "drain");  // an async span with no sync parent
+    p.advance(5.0, TimeCategory::kIo);
+    defer.finish();
+  });
+  const Report r = build_report(c);
+  ASSERT_EQ(r.ranks.size(), 1u);
+  EXPECT_DOUBLE_EQ(r.ranks[0].total_time, 1.0);
 }
 
 // ---------------------------------------------------------------------------

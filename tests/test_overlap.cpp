@@ -11,16 +11,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "check/io_checker.hpp"
 #include "fault/fault.hpp"
 #include "mpi/io/file.hpp"
 #include "net/network.hpp"
+#include "obs/profiler.hpp"
+#include "pfs/local_disk_fs.hpp"
 #include "pfs/local_fs.hpp"
 #include "pfs/striped_fs.hpp"
 #include "sim/engine.hpp"
+#include "stage/staged_fs.hpp"
 
 namespace paramrio::mpi::io {
 namespace {
@@ -623,6 +628,90 @@ TEST(TwoPhaseGolden, VirtualTimeAndWindowCountersArePinned) {
       EXPECT_EQ(g.saved, w.saved);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Observability: every in-flight operation's async span covers its real
+// in-flight time, ending exactly at the completion its settle waited for.
+// ---------------------------------------------------------------------------
+
+TEST(InFlightSpans, EndAtTheCompletionTheirSettleUsed) {
+  constexpr int p = 4;
+  constexpr std::uint64_t block = 4 * KiB;
+  pfs::LocalDiskFs staging(pfs::LocalDiskFsParams{}, p);
+  pfs::LocalFs dest(pfs::LocalFsParams{});
+  stage::StagedFs staged(stage::StagedFsParams{}, staging, dest);
+  obs::Collector col;
+  col.set_detail(true);
+  std::vector<double> saved(p);
+  {
+    obs::Attach attach(&col);
+    Runtime rt(rparams(p));
+    rt.run([&](Comm& c) {
+      Hints h;
+      h.overlap = true;
+      h.cb_buffer_size = 2 * block;  // several pipelined windows
+      File f(c, staged, "x", pfs::OpenMode::kCreate, h);
+      const auto r = static_cast<std::uint64_t>(c.rank());
+      f.set_view(r * block, Datatype::vector(4, block, block * p));
+      const auto mine = pattern(4 * block, static_cast<unsigned>(r) + 1);
+      f.write_at_all(0, mine);
+      std::vector<std::byte> back(mine.size());
+      f.read_at_all(0, back);
+      EXPECT_EQ(back, mine);
+      // These settles follow their issue at once, so none is hidden.
+      f.set_view(0);
+      const std::uint64_t tail = 4 * block * p + r * block;
+      Request w = f.iwrite_at(tail, std::span(mine).first(block));
+      f.wait(w);
+      f.prefetch(tail, block);
+      f.read_at(tail, std::span<std::byte>(back).first(block));
+      EXPECT_EQ(f.stats().prefetch_hits, 1u);
+      f.close();
+      saved[r] = f.stats().overlap_saved_time;
+      staged.drain_mine(stage::DrainPolicy::kAsync);
+      staged.drain_settle();
+    });
+  }
+  // A settle that still had to wait recorded [now, completion): the span
+  // must end at that completion.  One that waited for nothing hid the whole
+  // span (only pipelined windows do).  Either way the spans reproduce each
+  // rank's overlap_saved_time, min(completion, now) - issued per settle.
+  std::map<std::string, int> seen;
+  std::vector<double> hidden(p, 0.0);
+  for (const obs::SpanRecord& s : col.spans()) {
+    if (!s.async) continue;
+    if (s.name != "two_phase.io" && s.name != "mpiio.iwrite" &&
+        s.name != "mpiio.prefetch" && s.name != "stage.drain") {
+      continue;
+    }
+    seen[s.name] += 1;
+    SCOPED_TRACE(s.name + " on rank " + std::to_string(s.rank));
+    EXPECT_GT(s.duration(), 0.0);
+    const auto w = std::find_if(
+        col.waits().begin(), col.waits().end(), [&](const obs::WaitRecord& w) {
+          return w.rank == s.rank && w.t_end == s.t_end &&
+                 (w.kind == obs::WaitKind::kSettleWait ||
+                  w.kind == obs::WaitKind::kDrainWait);
+        });
+    double& h = hidden[static_cast<std::size_t>(s.rank)];
+    if (w != col.waits().end()) {
+      if (s.name != "stage.drain") h += w->t_start - s.t_start;
+    } else {
+      EXPECT_EQ(s.name, "two_phase.io") << "no settle waited until " << s.t_end;
+      h += s.duration();
+    }
+  }
+  for (int r = 0; r < p; ++r) {
+    EXPECT_NEAR(hidden[static_cast<std::size_t>(r)],
+                saved[static_cast<std::size_t>(r)], 1e-12)
+        << "rank " << r;
+    EXPECT_GT(saved[static_cast<std::size_t>(r)], 0.0) << "rank " << r;
+  }
+  EXPECT_GT(seen["two_phase.io"], 0);
+  EXPECT_EQ(seen["mpiio.iwrite"], p);
+  EXPECT_EQ(seen["mpiio.prefetch"], p);
+  EXPECT_EQ(seen["stage.drain"], p);
 }
 
 // ---------------------------------------------------------------------------

@@ -691,5 +691,28 @@ TEST(QueryService, UncommittedAndTornGenerationsAreRejected) {
   });
 }
 
+TEST(QueryService, OversizedCommitMarkerIsRejectedByQueryAndSeries) {
+  platform::Testbed tb(platform::chiba_pvfs_ethernet(), kProcs);
+  query::Service svc(tb.fs(), kSeries, query::Service::Params{});
+  auto backend = make_backend(Kind::kMpiIo, tb.fs());
+  enzo::CheckpointSeries series(*backend, tb.fs(), kSeries);
+  tb.runtime().run([&](mpi::Comm& c) {
+    enzo::EnzoSimulation sim(c, workload());
+    sim.initialize_from_universe();
+    series.dump(c, sim.state(), 0);
+  });
+  ASSERT_TRUE(series.committed(0));
+  // A valid marker followed by one stray byte is not a commit marker.
+  const std::string marker = series.marker_path(0);
+  tb.fs().store().write_at(marker, enzo::kCommitMarkerBytes,
+                           std::vector<std::byte>{std::byte{0}});
+  EXPECT_FALSE(series.committed(0));
+  tb.runtime().run([&](mpi::Comm& c) {
+    if (c.rank() == 0) {
+      EXPECT_THROW(svc.metadata(0), IoError);
+    }
+  });
+}
+
 }  // namespace
 }  // namespace paramrio

@@ -12,14 +12,16 @@ missing-wait
     `lint:allow(missing-wait)` on or directly above the call line.
 
 deferred-raii
-    `Proc::begin_deferred()`/`end_deferred()` are engine and DeferredScope
-    internals; everything else models in-flight work through DeferredScope
-    RAII.  Heap-allocating a DeferredScope defeats the RAII contract.
-    Suppress with `lint:allow(deferred-raii)`.
+    `Proc::begin_deferred()`/`end_deferred()` are engine and obs::Deferral
+    internals; everything else models in-flight work through obs::Deferral
+    RAII (src/obs/inflight.hpp).  Heap-allocating a Deferral defeats the
+    RAII contract.  Suppress with `lint:allow(deferred-raii)`.
 
 obs-span
-    Every public I/O entry point of mpi::io::File carries an OBS_SPAN so
-    the cross-layer profiler sees it.  Extend ENTRY_POINTS when adding one.
+    Every public I/O entry point of mpi::io::File carries an OBS_SPAN, or
+    names the async span its in-flight work opens (`issue_deferred("...")`
+    / `issue_request("...")`), so the cross-layer profiler sees it.  Extend
+    ENTRY_POINTS when adding one.
 """
 
 import re
@@ -32,20 +34,20 @@ SCAN_DIRS = ["src", "tests", "examples", "bench"]
 NONBLOCKING_CALL = re.compile(r"\.i(?:read|write)_at\s*\(")
 WAIT_CALL = re.compile(r"\bwait(?:_all)?\s*\(")
 DEFERRED_CALL = re.compile(r"\b(?:begin|end)_deferred\s*\(")
-DEFERRED_HEAP = re.compile(r"new\s+DeferredScope|make_unique\s*<\s*DeferredScope")
+DEFERRED_HEAP = re.compile(
+    r"new\s+(?:obs::)?Deferral\b|make_unique\s*<\s*(?:obs::)?Deferral\b")
 
 # Files that legitimately touch the raw deferred-clock API: the engine
-# itself and the RAII wrappers built directly on it (mpi::io::DeferredScope,
-# stage/'s local DeferredRegion).
+# itself and the one RAII scope built on it (obs::Deferral).
 DEFERRED_ALLOWED = {
     Path("src/sim/engine.hpp"),
     Path("src/sim/engine.cpp"),
-    Path("src/mpi/io/deferred_scope.hpp"),
-    Path("src/stage/staged_fs.cpp"),
+    Path("src/obs/inflight.hpp"),
 }
 
-# Public I/O entry points of mpi::io::File that must open an OBS_SPAN.
+# Public I/O entry points of mpi::io::File that must open a span.
 OBS_SPAN_FILE = Path("src/mpi/io/file.cpp")
+SPAN_OPEN = re.compile(r'OBS_SPAN\(|issue_(?:deferred|request)\("')
 ENTRY_POINTS = [
     "close", "flush", "read_at", "write_at", "read_at_all", "write_at_all",
     "iread_at", "iwrite_at", "read_at_all_begin", "read_at_all_end",
@@ -80,6 +82,23 @@ def scope_end(lines, start):
     return len(lines)
 
 
+def body_end(lines, start):
+    """Index one past the body of the definition starting at `start`: walk
+    forward until the braces it opens are closed again."""
+    depth = 0
+    opened = False
+    for i in range(start, len(lines)):
+        for ch in strip_comment(lines[i]):
+            if ch == "{":
+                depth += 1
+                opened = True
+            elif ch == "}":
+                depth -= 1
+        if opened and depth == 0:
+            return i + 1
+    return len(lines)
+
+
 def check_missing_wait(path, lines, findings):
     for i, line in enumerate(lines):
         if not NONBLOCKING_CALL.search(strip_comment(line)):
@@ -100,7 +119,7 @@ def check_deferred_raii(path, lines, findings):
         code = strip_comment(line)
         if DEFERRED_HEAP.search(code):
             findings.append(
-                f"{path}:{i + 1}: [deferred-raii] DeferredScope must live "
+                f"{path}:{i + 1}: [deferred-raii] obs::Deferral must live "
                 "on the stack (RAII), not the heap")
         if in_allowlist:
             continue
@@ -108,7 +127,7 @@ def check_deferred_raii(path, lines, findings):
                                                       "deferred-raii"):
             findings.append(
                 f"{path}:{i + 1}: [deferred-raii] raw begin/end_deferred "
-                "outside the engine; use DeferredScope RAII")
+                "outside the engine; use obs::Deferral RAII")
 
 
 def check_obs_span(findings):
@@ -120,11 +139,11 @@ def check_obs_span(findings):
             code = strip_comment(line)
             # A definition opens a scope; call sites end in ';'.
             if sig.search(code) and not code.rstrip().endswith(";"):
-                body = "\n".join(lines[i:scope_end(lines, i)])
-                if "OBS_SPAN" not in body:
+                body = "\n".join(lines[i:body_end(lines, i)])
+                if not SPAN_OPEN.search(body):
                     findings.append(
                         f"{OBS_SPAN_FILE}:{i + 1}: [obs-span] public I/O "
-                        f"entry point File::{name} has no OBS_SPAN")
+                        f"entry point File::{name} opens no span")
                 break
         else:
             findings.append(
